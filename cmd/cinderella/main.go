@@ -400,8 +400,9 @@ func runBatch(prog *cfg.Program, analyzed string, opts ipet.Options, paths []str
 		printReport(sess, est, analyzed, mhz, stats)
 	}
 	if stats {
-		bases, solves, finishes := sess.CacheStats()
-		fmt.Printf("\nsession caches: %d warm bases, %d set outcomes, %d count vectors\n", bases, solves, finishes)
+		cs := sess.CacheStats()
+		fmt.Printf("\nsession caches: %d warm bases, %d set outcomes (%d dominated), %d count vectors, %d plans\n",
+			cs.WarmBases, cs.SetOutcomes, cs.Dominated, cs.CountVectors, cs.Plans)
 	}
 }
 

@@ -360,11 +360,6 @@ func sessionBenchWorkloads(t *testing.T) ([]sessionBench, ipet.Options) {
 	opts := ipet.DefaultOptions()
 	opts.Workers = 1
 	opts.PruneNullSets = false // match the dhry cold/incremental rows
-	// Dominated outcomes depend on the run's incumbent and are never cached,
-	// so a session replay would re-prove domination per call; with pruning
-	// off every set solves to a cacheable Optimal/Infeasible once. The
-	// one-shot baseline runs the same options, keeping the comparison fair.
-	opts.IncumbentPrune = false
 
 	parse := func(name, text string) *constraint.File {
 		f, err := constraint.Parse(text)

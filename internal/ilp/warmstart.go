@@ -184,6 +184,13 @@ type SetSolution struct {
 	Pivots    int
 	// Suspect counts ill-conditioned pivots of this solve.
 	Suspect int
+	// Bound is the proven dual bound of a Dominated solve, in the
+	// problem's own sense and full variable space: the set's LP optimum,
+	// and so its integer optimum, lies at or inside it (at or below for
+	// Maximize, at or above for Minimize) whatever cutoff a later solve
+	// uses. DominatedBy re-applies the same strict test to a new cutoff.
+	// Zero unless Status is Dominated.
+	Bound float64
 	// Cert is the optimal-basis certificate, present when the solve was
 	// asked for one, ended Optimal, and the warm start runs without a
 	// presolve (a presolved basis names reduced columns and cannot be
@@ -225,8 +232,8 @@ func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolu
 		// the base optimum answers the set — unless the incumbent cutoff
 		// already proves it uninteresting, matching the dual bound check a
 		// tableau solve would hit on its first iteration.
-		if opts.UseCutoff && w.sign*w.baseObj < w.sign*opts.Cutoff-cutoffTol {
-			r = SetSolution{Status: Dominated, OK: true}
+		if opts.UseCutoff && DominatedBy(w.prob.Sense, w.baseObj, opts.Cutoff) {
+			r = SetSolution{Status: Dominated, Bound: w.baseObj, OK: true}
 		} else {
 			r = SetSolution{Status: Optimal, Objective: w.baseObj,
 				XIntegral: w.baseXIntegral, OK: true}
@@ -388,7 +395,8 @@ func (w *WarmStart) solveDelta(rows []deltaRow, opts SetSolveOptions) SetSolutio
 		// optimum; once it proves the set strictly worse than the caller's
 		// incumbent, the exact value no longer matters.
 		if opts.UseCutoff && -rc[total] < internalCutoff-cutoffTol {
-			return SetSolution{Status: Dominated, Pivots: pivots, Suspect: s.suspect, OK: true}
+			return SetSolution{Status: Dominated, Bound: w.sign*(-rc[total]) + off,
+				Pivots: pivots, Suspect: s.suspect, OK: true}
 		}
 		if iter > hardCap {
 			// Give up; cold fallback. The pivot count is still valid work.
@@ -498,6 +506,19 @@ func (w *WarmStart) solveDelta(rows []deltaRow, opts SetSolveOptions) SetSolutio
 		r.Cert = &Certificate{Warm: true, Basis: append([]int(nil), s.basis[:m]...)}
 	}
 	return r
+}
+
+// DominatedBy reports whether a proven dual bound shows a set strictly
+// worse than cutoff by more than the warm path's domination margin — below
+// it for Maximize, above it for Minimize. It is the test a warm solve
+// applies before returning Dominated, so a caller holding a Bound from an
+// earlier solve can decide whether that bound alone settles the set under
+// a new cutoff.
+func DominatedBy(sense Sense, bound, cutoff float64) bool {
+	if sense == Minimize {
+		return -bound < -cutoff-cutoffTol
+	}
+	return bound < cutoff-cutoffTol
 }
 
 // checkAgainstCold is the SetSelfCheck differential for the warm path: the

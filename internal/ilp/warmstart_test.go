@@ -157,6 +157,61 @@ func TestWarmStartCutoff(t *testing.T) {
 	}
 }
 
+// TestWarmStartDominatedBound: a Dominated solve reports a dual bound that
+// is sound — the set's optimum lies at or inside it — with and without the
+// base presolve, and DominatedBy applied to that bound reproduces the
+// solve's own verdict: it settles the set under the cutoff that proved it,
+// and never under a cutoff the optimum actually beats.
+func TestWarmStartDominatedBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		sense := Maximize
+		if trial%2 == 1 {
+			sense = Minimize
+		}
+		n := 3 + rng.Intn(4)
+		base := warmBase(rng, sense, n)
+		w := NewWarmStartOpts(base, WarmOptions{DisablePresolve: trial%4 < 2})
+		if !w.Ready() {
+			continue
+		}
+		set := randomDelta(rng, n)
+		if trial%5 == 0 {
+			set = nil // the empty-delta path answers with the base optimum
+		}
+		r := w.SolveSetOpts(set, SetSolveOptions{NoX: true})
+		if !r.OK || r.Status != Optimal {
+			continue
+		}
+		obj := r.Objective
+		beyond, behind := obj+1, obj-1
+		if sense == Minimize {
+			beyond, behind = obj-1, obj+1
+		}
+		d := w.SolveSetOpts(set, SetSolveOptions{Cutoff: beyond, UseCutoff: true, NoX: true})
+		if !d.OK || d.Status != Dominated {
+			t.Fatalf("trial %d: cutoff %.9g past optimum %.9g: %v ok=%v", trial, beyond, obj, d.Status, d.OK)
+		}
+		if (sense == Maximize && d.Bound < obj-1e-6) || (sense == Minimize && d.Bound > obj+1e-6) {
+			t.Fatalf("trial %d (%v): dominated bound %.9g cuts off the optimum %.9g", trial, sense, d.Bound, obj)
+		}
+		if set == nil && d.Bound != obj {
+			t.Fatalf("trial %d: empty-delta bound %.9g, want the base optimum %.9g", trial, d.Bound, obj)
+		}
+		if !DominatedBy(sense, d.Bound, beyond) {
+			t.Fatalf("trial %d: bound %.9g does not re-prove the cutoff %.9g that produced it", trial, d.Bound, beyond)
+		}
+		if DominatedBy(sense, d.Bound, behind) {
+			t.Fatalf("trial %d: bound %.9g claims domination under %.9g, which optimum %.9g beats", trial, d.Bound, behind, obj)
+		}
+		checked++
+	}
+	if checked < 50 {
+		t.Fatalf("only %d dominated solves checked", checked)
+	}
+}
+
 // TestWarmStartEmptyAndInfeasibleSets covers the degenerate delta shapes
 // the analysis produces: an empty set (base answer reused) and a set that
 // contradicts the base.

@@ -178,8 +178,8 @@ func TestEnvelopeIsBaseRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range plan.dirs {
-		if !d.relaxOK {
+	for _, e := range plan.env {
+		if !e.ok {
 			t.Fatalf("budgeted plan has no relaxation envelope")
 		}
 	}
@@ -187,11 +187,11 @@ func TestEnvelopeIsBaseRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW := int64(math.Floor(plan.dirs[0].relax + 1e-6))
-	wantB := int64(math.Ceil(plan.dirs[1].relax - 1e-6))
+	wantW := int64(math.Floor(plan.env[0].relax + 1e-6))
+	wantB := int64(math.Ceil(plan.env[1].relax - 1e-6))
 	if est.WCET.Cycles != wantW || est.BCET.Cycles != wantB {
 		t.Errorf("envelope [%d, %d], want [floor %g, ceil %g] = [%d, %d]",
-			est.BCET.Cycles, est.WCET.Cycles, plan.dirs[1].relax, plan.dirs[0].relax, wantB, wantW)
+			est.BCET.Cycles, est.WCET.Cycles, plan.env[1].relax, plan.env[0].relax, wantB, wantW)
 	}
 }
 

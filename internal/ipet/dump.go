@@ -13,7 +13,7 @@ import (
 // structural constraints, the loop-bound constraints, and each surviving
 // functionality constraint set.
 func (a *Analyzer) DumpILP(w io.Writer) error {
-	sets, widened, total, pruned, err := a.buildSets()
+	sets, widened, total, pruned, err := a.buildSets(true)
 	if err != nil {
 		return err
 	}

@@ -174,8 +174,9 @@ type Estimate struct {
 // are soundly widened instead of failing; widened[i] flags the surviving
 // sets touched by widening. Pruning a widened set is sound: its feasible
 // region contains every region it replaced, so widened-null implies
-// all-null.
-func (a *Analyzer) buildSets() (sets [][]ilp.Constraint, widened []bool, total, pruned int, err error) {
+// all-null. Rows carry their relation's text as Name only when named is
+// set: the ILP dump prints them, the solve path never reads them.
+func (a *Analyzer) buildSets(named bool) (sets [][]ilp.Constraint, widened []bool, total, pruned int, err error) {
 	var formulas []constraint.Formula
 	if a.annots != nil {
 		for _, sec := range a.annots.Sections {
@@ -203,6 +204,9 @@ func (a *Analyzer) buildSets() (sets [][]ilp.Constraint, widened []bool, total, 
 			c, err := a.relToILP(r)
 			if err != nil {
 				return nil, nil, 0, 0, err
+			}
+			if named {
+				c.Name = r.String()
 			}
 			ilpSet = append(ilpSet, c)
 		}
@@ -412,184 +416,6 @@ func (a *Session) bestObjective() (objective, error) {
 	return obj, nil
 }
 
-// direction bundles everything one objective sense shares across its
-// per-set solves: the objective, the pre-lowered shared rows, and (when
-// enabled and available) the warm-start base tableau.
-type direction struct {
-	sense  ilp.Sense
-	obj    objective
-	prefix []ilp.PackedRow
-	warm   *ilp.WarmStart
-	// relax is the base LP relaxation's optimum (structural + loop +
-	// objective rows, no set rows). Adding rows only shrinks the feasible
-	// region, so relax dominates every per-set optimum: it is the sound
-	// envelope reported for sets the analysis never finished. Taken from
-	// the warm base when available, otherwise solved once in solverSetup
-	// when a budgeted run may need it.
-	relax   float64
-	relaxOK bool
-}
-
-// solverPlan is the memoized per-analyzer solver setup: the expanded
-// constraint sets with their canonical-dedup structure and the two solve
-// directions. Apply invalidates it (annotations change the sets); repeated
-// Estimate calls on unchanged annotations reuse it, including the warm
-// base tableaus.
-type solverPlan struct {
-	sets          [][]ilp.Constraint
-	total, pruned int
-	// widened[i] marks set i as a sound widening of several original sets
-	// (Options.WidenSets); nWidened counts them.
-	widened  []bool
-	nWidened int
-	// repOf[i] is the index of the earliest set canonically identical to
-	// set i (i itself when distinct); distinct lists the representatives
-	// in set order.
-	repOf    []int
-	distinct []int
-	deduped  int
-	// keys[i] is the canonical key of set i, computed when dedup or a
-	// persistent session needs it (nil otherwise); loopKey identifies the
-	// loop-bound rows this plan appended to the shared structural prefix
-	// (persistent sessions only).
-	keys    []string
-	loopKey string
-	dirs    []direction
-	// Work performed building the plan (warm base solves), charged to the
-	// Estimate call that triggered the build.
-	setupLP, setupPivots, setupCold    int
-	setupNet, setupRev, setupRefactors int
-}
-
-// solverSetup returns the memoized solver plan, building it on first use.
-// fresh reports whether this call performed the build (and so should count
-// the setup work in its statistics).
-func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
-	a.planMu.Lock()
-	defer a.planMu.Unlock()
-	if a.plan != nil {
-		return a.plan, false, nil
-	}
-	// A concrete solve has no value for parameter symbols; refuse with a
-	// typed, positioned error instead of silently treating "n1" as zero.
-	if err := checkNoSymbols(a.annots); err != nil {
-		return nil, false, err
-	}
-	sets, widened, total, pruned, err := a.buildSets()
-	if err != nil {
-		return nil, false, err
-	}
-	plan = &solverPlan{sets: sets, total: total, pruned: pruned, widened: widened}
-	for _, w := range widened {
-		if w {
-			plan.nWidened++
-		}
-	}
-	plan.repOf = make([]int, len(sets))
-	plan.distinct = make([]int, 0, len(sets))
-	if a.Opts.DedupSets || a.persist {
-		plan.keys = make([]string, len(sets))
-		for i := range sets {
-			plan.keys[i] = canonicalSetKey(sets[i])
-		}
-	}
-	if a.Opts.DedupSets {
-		byKey := make(map[string]int, len(sets))
-		for i := range sets {
-			if rep, hit := byKey[plan.keys[i]]; hit {
-				plan.repOf[i] = rep
-				plan.deduped++
-			} else {
-				byKey[plan.keys[i]] = i
-				plan.repOf[i] = i
-				plan.distinct = append(plan.distinct, i)
-			}
-		}
-	} else {
-		for i := range sets {
-			plan.repOf[i] = i
-			plan.distinct = append(plan.distinct, i)
-		}
-	}
-
-	// The structural rows and each direction's objective extras were
-	// lowered once when the session was built; only the loop-bound rows
-	// depend on the annotations. The concatenation order (structural, loop
-	// bounds, extras) matches what a single Pack of the full row list
-	// produced before the session split, so solves see identical tableaux.
-	loops := ilp.Pack(a.LoopBoundConstraints())
-	if a.persist {
-		plan.loopKey = packedRowsKey(loops)
-	}
-	for di := range a.dirBases {
-		db := &a.dirBases[di]
-		prefix := make([]ilp.PackedRow, 0, len(a.packedStructural)+len(loops)+len(db.packedExtra))
-		prefix = append(prefix, a.packedStructural...)
-		prefix = append(prefix, loops...)
-		prefix = append(prefix, db.packedExtra...)
-		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
-		if a.Opts.WarmStart {
-			newBase := func() *warmBaseEntry {
-				// Certify needs the un-presolved base: the exact checker
-				// re-derives the warm tableau layout from the problem, which
-				// presolve row-elimination would obscure. The base optimum
-				// (and so every bound) is identical either way.
-				w := ilp.NewWarmStartOpts(&ilp.Problem{
-					Sense:     db.sense,
-					NumVars:   db.obj.nVars,
-					Objective: db.obj.coeffs,
-					Prefix:    prefix,
-				}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
-				return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
-			}
-			var entry *warmBaseEntry
-			var hit bool
-			if a.persist {
-				// Warm bases persist across Estimate calls keyed by the
-				// loop rows; only the call that builds one is charged.
-				entry, hit = a.baseCache.GetOrCompute(baseKey(di, plan.loopKey), newBase)
-			} else {
-				entry = newBase()
-			}
-			d.warm = entry.warm
-			if !hit {
-				plan.setupLP++
-				plan.setupCold++
-				plan.setupPivots += entry.pivots
-			}
-		}
-		effDeadline, effBudget := a.effAnytime()
-		if d.warm != nil && d.warm.Ready() {
-			// The warm base already holds the relaxation envelope.
-			d.relax, d.relaxOK = d.warm.BaseObjective()
-		} else if effDeadline > 0 || effBudget > 0 {
-			// A budgeted run may need the envelope for sets it abandons;
-			// solve the base LP once here. Unbudgeted runs skip this so
-			// their statistics stay identical to the exhaustive path.
-			sol, err := ilp.Solve(&ilp.Problem{
-				Sense:     db.sense,
-				NumVars:   db.obj.nVars,
-				Objective: db.obj.coeffs,
-				Prefix:    d.prefix,
-			})
-			if err == nil {
-				plan.setupLP += sol.Stats.LPSolves
-				plan.setupCold++
-				plan.setupPivots += sol.Stats.Pivots
-				plan.setupNet += sol.Stats.NetworkSolves
-				plan.setupRev += sol.Stats.RevisedPivots
-				plan.setupRefactors += sol.Stats.Refactorizations
-				if sol.Status == ilp.Optimal {
-					d.relax, d.relaxOK = sol.Objective, true
-				}
-			}
-		}
-		plan.dirs = append(plan.dirs, d)
-	}
-	a.plan = plan
-	return plan, true, nil
-}
-
 // solveResult carries one (direction, set) ILP outcome to the reducer.
 type solveResult struct {
 	err    error
@@ -611,6 +437,10 @@ type solveResult struct {
 	// value vector, so a cache-hit winner re-derives counts exactly like a
 	// duplicate's.
 	cacheHit bool
+	// bound is the proven dual bound of a warm Dominated result (boundOK);
+	// it lets the session cache the domination for later runs.
+	bound   float64
+	boundOK bool
 	// done marks that the job actually ran (a worker wrote this result);
 	// a zero-value slot left by an early pool shutdown must not read as an
 	// optimal zero-cycle solve.
@@ -650,15 +480,7 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 	}
 	var r solveResult
 	certOn := a.Opts.Certify
-	// Integer cycle counts make the half-open margin exact: a set is
-	// abandoned only when its optimum provably differs from the incumbent
-	// by at least one cycle in the losing direction.
-	cut := float64(cutoff)
-	if d.sense == ilp.Maximize {
-		cut -= 0.5
-	} else {
-		cut += 0.5
-	}
+	cut := cutoffMargin(d.sense, cutoff)
 
 	// The full problem, shared by the cold path and the certificate layer
 	// (the warm path never materializes it on its own).
@@ -691,6 +513,7 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 			case ilp.Infeasible, ilp.Dominated:
 				r.warm = true
 				r.status = ws.Status
+				r.bound, r.boundOK = ws.Bound, ws.Status == ilp.Dominated
 				if certOn {
 					if err := a.certifyOutcome(ctx, &r, problem(), nil); err != nil {
 						return solveResult{err: err}
@@ -738,6 +561,17 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 		}
 	}
 	return r
+}
+
+// cutoffMargin turns an incumbent cycle count into the solver cutoff.
+// Integer cycle counts make the half-open margin exact: a set is abandoned
+// only when its optimum provably differs from the incumbent by at least one
+// cycle in the losing direction.
+func cutoffMargin(sense ilp.Sense, cutoff int64) float64 {
+	if sense == ilp.Maximize {
+		return float64(cutoff) - 0.5
+	}
+	return float64(cutoff) + 0.5
 }
 
 // certifyOutcome backs one per-set claim with an exact rational check, per
@@ -814,7 +648,7 @@ func ratFloats(x []*big.Rat) []float64 {
 // sound and independent of which jobs happened to finish. A degraded or
 // widened-winner report carries Exact=false; Slack is measured against
 // the best exactly solved, un-widened set when one exists.
-func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, results []solveResult) (*BoundReport, *solveResult, error) {
+func (a *Analyzer) reduceDir(est *Estimate, d *direction, env envelope, plan *solverPlan, results []solveResult) (*BoundReport, *solveResult, error) {
 	sense := d.sense
 	var best *BoundReport
 	var bestRes *solveResult
@@ -866,7 +700,7 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 		}
 	}
 	if degraded {
-		if !d.relaxOK {
+		if !env.ok {
 			if crashMsg != "" {
 				return nil, nil, fmt.Errorf("ipet: a constraint-set solve crashed (%s) and no relaxation envelope is available to absorb it", crashMsg)
 			}
@@ -876,9 +710,9 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 		// lie at or inside the base LP optimum.
 		var cycles int64
 		if sense == ilp.Maximize {
-			cycles = int64(math.Floor(d.relax + 1e-6))
+			cycles = int64(math.Floor(env.relax + 1e-6))
 		} else {
-			cycles = int64(math.Ceil(d.relax - 1e-6))
+			cycles = int64(math.Ceil(env.relax - 1e-6))
 		}
 		if best != nil &&
 			((sense == ilp.Maximize && best.Cycles > cycles) ||
@@ -935,7 +769,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 	d := &plan.dirs[di]
 	var key string
 	if a.persist {
-		key = finishKey(di, plan.loopKey, plan.sets[best.SetIndex])
+		key = plan.finishKey(di, best.SetIndex)
 		if vals, ok := a.finishCache.Get(key); ok {
 			best.Counts = a.aggregateCounts(vals)
 			return nil
@@ -1067,12 +901,12 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 	est.Stats.Deduped = plan.deduped
 	est.Stats.SetsWidened = plan.nWidened
 	if fresh {
-		est.LPSolves += plan.setupLP
-		est.Stats.ColdSolves += plan.setupCold
-		est.Stats.Pivots += plan.setupPivots
-		est.Stats.NetworkSolves += plan.setupNet
-		est.Stats.RevisedPivots += plan.setupRev
-		est.Stats.Refactorizations += plan.setupRefactors
+		est.LPSolves += plan.setup.lp
+		est.Stats.ColdSolves += plan.setup.cold
+		est.Stats.Pivots += plan.setup.pivots
+		est.Stats.NetworkSolves += plan.setup.net
+		est.Stats.RevisedPivots += plan.setup.rev
+		est.Stats.Refactorizations += plan.setup.refactors
 	}
 	if len(plan.sets) == 0 {
 		return nil, &InfeasibleError{Sets: plan.total, AllNull: true}
@@ -1097,7 +931,7 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 	effDeadline, effBudget := a.effAnytime()
 	budget := int64(effBudget)
 	var spent atomic.Int64
-	spent.Store(int64(plan.setupPivots))
+	spent.Store(int64(plan.setup.pivots))
 	var hitDeadline atomic.Bool
 	var deadlineAt time.Time
 	jobCtx := ctx
@@ -1138,24 +972,6 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		d, k := j/nd, j%nd
 		dir := &dirs[d]
 		si := plan.distinct[k]
-		var key string
-		if a.persist {
-			// A prior Estimate on this session may have solved this exact
-			// (direction, loop rows, set region) already; its outcome is
-			// cutoff-independent and transfers without any simplex work.
-			// A certifying run only accepts hits that were certified when
-			// produced; an uncertified cached claim falls through to a fresh
-			// (certified) solve.
-			key = solveKey(d, plan.loopKey, plan.keys[si])
-			if v, ok := a.solveCache.Get(key); ok && (!a.Opts.Certify || v.certified) {
-				r = solveResult{done: true, dup: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
-				r.stats.RootIntegral = v.rootIntegral
-				if v.status == ilp.Optimal {
-					incumbentOffer(&incumbents[d], dir.sense, v.cycles)
-				}
-				return r
-			}
-		}
 		var cutoff int64
 		useCutoff := false
 		// Certify disables incumbent pruning: a Dominated claim carries no
@@ -1164,27 +980,37 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		if a.Opts.IncumbentPrune && !a.Opts.Certify {
 			cutoff, useCutoff = incumbentLoad(&incumbents[d], dir.sense)
 		}
+		var key string
+		if a.persist {
+			// A prior Estimate on this session may have settled this exact
+			// (direction, loop rows, set region) already. An optimal cycle
+			// count or infeasibility is cutoff-independent and transfers
+			// without any simplex work (a certifying run only accepts hits
+			// that were certified when produced). A cached domination bound
+			// transfers only when it proves the set strictly worse than this
+			// run's own incumbent; otherwise the set is solved again.
+			key = plan.outKeys[j]
+			if v, ok := a.solveCache.Get(key); ok && v.reusable(a.Opts.Certify, dir.sense, cutoff, useCutoff) {
+				r = solveResult{done: true, dup: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
+				r.stats.RootIntegral = v.rootIntegral
+				if v.status == ilp.Optimal {
+					incumbentOffer(&incumbents[d], dir.sense, v.cycles)
+				}
+				return r
+			}
+		}
 		r = a.solveSet(jctx, dir, plan.sets[si], cutoff, useCutoff)
 		r.done = true
 		spent.Add(int64(r.stats.Pivots))
 		if r.err == nil && r.status == ilp.Optimal {
 			incumbentOffer(&incumbents[d], dir.sense, r.cycles)
 		}
-		// Only conclusive, cutoff-independent outcomes persist: an optimal
-		// cycle count or proven infeasibility. Dominated depends on the
-		// incumbent of this run; abandoned jobs prove nothing.
-		// A suspect uncertified outcome is additionally barred from the cache:
-		// its ill-conditioning signal would be invisible to a later certifying
-		// run that trusted the cached value.
+		// Abandoned jobs prove nothing. A suspect uncertified outcome is
+		// barred from the cache too: its ill-conditioning signal would be
+		// invisible to a later certifying run that trusted the cached value.
 		if a.persist && r.err == nil && !r.unsolved &&
-			(r.status == ilp.Optimal || r.status == ilp.Infeasible) &&
 			(r.stats.SuspectPivots == 0 || r.certified) {
-			a.solveCache.Put(key, cachedSolve{
-				status:       r.status,
-				cycles:       r.cycles,
-				rootIntegral: r.stats.RootIntegral,
-				certified:    r.certified,
-			})
+			a.storeOutcome(key, dir.sense, &r)
 		}
 		return r
 	}
@@ -1327,11 +1153,11 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		}
 	}
 
-	worst, worstRes, err := a.reduceDir(est, &dirs[0], plan, full[:nSets])
+	worst, worstRes, err := a.reduceDir(est, &dirs[0], plan.env[0], plan.solverPlan, full[:nSets])
 	if err != nil {
 		return nil, err
 	}
-	bcet, bcetRes, err := a.reduceDir(est, &dirs[1], plan, full[nSets:])
+	bcet, bcetRes, err := a.reduceDir(est, &dirs[1], plan.env[1], plan.solverPlan, full[nSets:])
 	if err != nil {
 		return nil, err
 	}
@@ -1356,12 +1182,12 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		}
 	}
 	if worstRes != nil {
-		if err := a.finishDir(ctx, est, 0, plan, worst, worstRes); err != nil {
+		if err := a.finishDir(ctx, est, 0, plan.solverPlan, worst, worstRes); err != nil {
 			return nil, err
 		}
 	}
 	if bcetRes != nil {
-		if err := a.finishDir(ctx, est, 1, plan, bcet, bcetRes); err != nil {
+		if err := a.finishDir(ctx, est, 1, plan.solverPlan, bcet, bcetRes); err != nil {
 			return nil, err
 		}
 	}

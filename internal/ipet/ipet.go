@@ -149,12 +149,16 @@ func (c *Context) String() string {
 // Analyzer binds one set of functionality annotations to a session's
 // shared analysis model. The model fields (Prog, Root, Opts, contexts,
 // variables, costs) are promoted from the embedded Session; the analyzer
-// itself owns only the annotations and the memoized solver plan derived
-// from them.
+// itself owns only the annotations and its binding to the solver plan
+// derived from them (shared through the session's plan cache when the
+// session is prepared).
 type Analyzer struct {
 	*Session
 
 	annots *constraint.File
+	// planKey is annots' canonical key in the session's plan cache
+	// (prepared sessions only).
+	planKey string
 
 	// anytime, when non-nil, overrides the session's Deadline and Budget
 	// for this analyzer's estimates; see SetAnytime.
@@ -162,9 +166,9 @@ type Analyzer struct {
 
 	// planMu guards plan, the memoized solver setup (expanded sets, packed
 	// prefixes, warm-start bases) shared by repeated Estimate calls.
-	// Apply invalidates it; see solverSetup in estimate.go.
+	// Apply invalidates it; see solverSetup in plan.go.
 	planMu sync.Mutex
-	plan   *solverPlan
+	plan   *planUse
 }
 
 // anytimeOverride carries per-analyzer anytime budgets.
@@ -297,6 +301,9 @@ func (a *Analyzer) Apply(file *constraint.File) error {
 	// any memoized solver setup is stale.
 	a.planMu.Lock()
 	a.plan = nil
+	if a.persist {
+		a.planKey = annotationKey(a.annots)
+	}
 	a.planMu.Unlock()
 	return nil
 }

@@ -3,10 +3,8 @@ package ipet
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,12 +28,28 @@ import (
 //
 // A prepared session additionally retains solver results across Estimate
 // calls: warm-start base tableaux keyed by the loop-bound rows, the
-// outcome (optimal cycles or infeasibility) of every distinct conjunctive
-// set it has solved, and the winners' canonical count vectors. Scenarios
-// that share loop bounds and some constraint sets — the common case when
-// the user tweaks one formula among many — skip the shared solves
-// entirely. Reports remain bit-identical to a fresh one-shot Analyzer at
-// every worker count: cached outcomes are cutoff-independent values, and
+// outcome (optimal cycles, infeasibility, or a proven domination bound)
+// of every distinct conjunctive set it has solved, and the winners'
+// canonical count vectors. Scenarios that share loop bounds and some
+// constraint sets — the common case when the user tweaks one formula
+// among many — skip the shared solves entirely.
+//
+// It also keeps the compiled solver plans of the last 16 annotation texts
+// it analyzed, keyed by a canonical form of the annotations (section
+// order, loop bounds, formulas with sorted terms; positions, comments and
+// layout left out). A repeated text therefore skips set expansion,
+// lowering and keying and goes straight to the outcome cache. The cap is
+// fixed, not an option: the interactive loop revisits a few recent texts
+// per program, a plan is a few kilobytes to a few hundred (one lowered
+// row set per constraint set), and the plans count toward
+// MemoryFootprint, so a server's memory budget already governs them.
+//
+// Reports remain bit-identical to a fresh one-shot Analyzer at every
+// worker count: cached optimal and infeasible outcomes are
+// cutoff-independent values; a cached domination bound is reused only
+// when it proves the set strictly worse than the reusing run's own
+// incumbent — the same test the warm solve applies — so a dominated set
+// still never wins or ties, and a weaker incumbent re-solves the set; and
 // winning counts are always the result of the same canonical cold solve
 // the one-shot path runs.
 //
@@ -84,9 +98,12 @@ type Session struct {
 	// solver state across Estimate calls. Analyzers made by New leave it
 	// off so their per-call statistics stay those of a standalone run.
 	persist     bool
+	plans       *planCache
 	baseCache   *cache.Keyed[string, *warmBaseEntry]
 	solveCache  *cache.Keyed[string, cachedSolve]
 	finishCache *cache.Keyed[string, []float64]
+	// dominated counts the solveCache entries holding a domination bound.
+	dominated atomic.Int64
 
 	// totalsMu guards totals, the cumulative work ledger across every
 	// estimate this session has served. A long-lived service polls Totals
@@ -198,19 +215,81 @@ type warmBaseEntry struct {
 	pivots int
 }
 
-// cachedSolve is the cutoff-independent outcome of one (direction, loop
-// rows, conjunctive set) solve: optimal cycles or infeasibility. Dominated
-// and abandoned results are never cached — they depend on the incumbent
-// and budget of the run that produced them.
+// cachedSolve is the outcome of one (direction, loop rows, conjunctive
+// set) solve: optimal cycles, infeasibility, or — for a set a warm solve
+// abandoned under an incumbent cutoff — the proven dual bound that showed
+// it dominated. Abandoned (unsolved) results are never cached.
 type cachedSolve struct {
 	status       ilp.Status
 	cycles       int64
+	bound        float64 // Dominated only: the set's optimum lies at or inside it
 	rootIntegral bool
 	// certified marks an outcome that was backed by an exact rational check
 	// when it was produced. A certifying run only accepts certified hits
 	// (an uncertified cached value would smuggle an unchecked claim into a
 	// certified report); uncertified runs accept both.
 	certified bool
+}
+
+// reusable reports whether a cached outcome answers a job of this run. An
+// optimal or infeasible outcome always does (a certifying run only takes
+// certified ones). A domination bound depends on the cutoff: it answers the
+// job only when it proves the set strictly worse than the run's current
+// incumbent, by the same margin the warm solve uses; a weaker incumbent, or
+// a run without cutoffs, solves the set again.
+func (v cachedSolve) reusable(certify bool, sense ilp.Sense, cutoff int64, useCutoff bool) bool {
+	if v.status == ilp.Dominated {
+		return useCutoff && ilp.DominatedBy(sense, v.bound, cutoffMargin(sense, cutoff))
+	}
+	return !certify || v.certified
+}
+
+// storeOutcome caches a completed job's outcome under key. An optimal or
+// infeasible outcome replaces whatever was there. A domination bound is
+// stored only from a warm solve that proved one, never over an optimal or
+// infeasible entry, and only when it is tighter than a bound already held.
+func (s *Session) storeOutcome(key string, sense ilp.Sense, r *solveResult) {
+	v := cachedSolve{
+		status:       r.status,
+		cycles:       r.cycles,
+		rootIntegral: r.stats.RootIntegral,
+		certified:    r.certified,
+	}
+	switch r.status {
+	case ilp.Optimal, ilp.Infeasible:
+	case ilp.Dominated:
+		if !r.boundOK {
+			return
+		}
+		v = cachedSolve{status: ilp.Dominated, bound: r.bound}
+	default:
+		return
+	}
+	s.solveCache.Update(key, func(old cachedSolve, present bool) (cachedSolve, bool) {
+		wasDominated := present && old.status == ilp.Dominated
+		if v.status == ilp.Dominated {
+			if present && (!wasDominated || !tighter(sense, v.bound, old.bound)) {
+				return old, false
+			}
+			if !present {
+				s.dominated.Add(1)
+			}
+			return v, true
+		}
+		if wasDominated {
+			s.dominated.Add(-1)
+		}
+		return v, true
+	})
+}
+
+// tighter reports whether bound a lies strictly inside bound b: lower for
+// a maximization, higher for a minimization.
+func tighter(sense ilp.Sense, a, b float64) bool {
+	if sense == ilp.Maximize {
+		return a < b
+	}
+	return a > b
 }
 
 // Prepare builds a reusable session for the given root function. The
@@ -417,6 +496,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 		}
 		s.dirBases = append(s.dirBases, db)
 	}
+	s.plans = newPlanCache()
 	s.baseCache = cache.NewKeyed[string, *warmBaseEntry]()
 	s.solveCache = cache.NewKeyed[string, cachedSolve]()
 	s.finishCache = cache.NewKeyed[string, []float64]()
@@ -504,20 +584,49 @@ func (s *Session) EstimateContext(ctx context.Context, file *constraint.File) (*
 	return a.EstimateContext(ctx)
 }
 
-// CacheStats reports the sizes of a prepared session's persistent caches:
-// warm base tableaux, distinct per-set outcomes, and winner count vectors.
-func (s *Session) CacheStats() (bases, solves, finishes int) {
-	return s.baseCache.Len(), s.solveCache.Len(), s.finishCache.Len()
+// CacheStats sizes a prepared session's persistent caches.
+type CacheStats struct {
+	// Plans counts compiled solver plans resident in the session's plan
+	// LRU (at most 16); PlanBytes is their accounted footprint.
+	Plans     int
+	PlanBytes int64
+	// WarmBases counts warm-start base tableaux (one per direction and
+	// distinct loop-bound rows).
+	WarmBases int
+	// SetOutcomes counts distinct per-set outcomes, Dominated of which
+	// are proven domination bounds rather than optimal or infeasible
+	// results.
+	SetOutcomes int
+	Dominated   int
+	// CountVectors counts the winners' canonical count vectors.
+	CountVectors int
+}
+
+// CacheStats reports the sizes of a prepared session's persistent caches.
+// Safe for concurrent use.
+func (s *Session) CacheStats() CacheStats {
+	plans, planBytes := s.plans.stats()
+	return CacheStats{
+		Plans:        plans,
+		PlanBytes:    planBytes,
+		WarmBases:    s.baseCache.Len(),
+		SetOutcomes:  s.solveCache.Len(),
+		Dominated:    int(s.dominated.Load()),
+		CountVectors: s.finishCache.Len(),
+	}
 }
 
 // MemoryFootprint estimates the resident bytes a prepared session pins: the
 // structural model (variable layout, contexts, packed rows, cost tables)
-// plus the persistent caches, dominated by the warm base tableaux (a dense
-// m x (n+m) float64 tableau per distinct loop-bound key and direction). The
-// figure is an accounting estimate, not an exact heap measurement — it is
-// deliberately conservative and monotone in cache growth, which is what an
-// eviction policy needs: relative order and growth are faithful even where
-// absolute bytes are approximate. Safe for concurrent use.
+// plus the persistent caches — the compiled plans of the plan LRU, the
+// per-set outcomes (cached domination bounds included) and count vectors,
+// and above all the warm base tableaux (a dense m x (n+m) float64 tableau
+// per distinct loop-bound key and direction). The figure is an accounting
+// estimate, not an exact heap measurement — it is deliberately
+// conservative and follows every cache's growth (and the plan LRU's
+// evictions), which is what an eviction policy needs: relative order and
+// growth are faithful even where absolute bytes are approximate. Safe for
+// concurrent use.
 func (s *Session) MemoryFootprint() int64 {
 	const (
 		bytesPerVar      = 56 // layout share + per-variable solver bookkeeping
@@ -550,10 +659,11 @@ func (s *Session) MemoryFootprint() int64 {
 	// the prefix row count and n the variable count.
 	m := int64(len(s.packedStructural)) + 16 // + loop-bound rows, estimated
 	tableau := m * (int64(s.nVars) + m + 2) * 8
-	bases, solves, finishes := s.CacheStats()
-	base += int64(bases) * tableau
-	base += int64(solves) * bytesPerOutcome
-	base += int64(finishes) * (int64(s.nVars)*bytesPerFinishV + 64)
+	cs := s.CacheStats()
+	base += int64(cs.WarmBases) * tableau
+	base += int64(cs.SetOutcomes) * bytesPerOutcome
+	base += int64(cs.CountVectors) * (int64(s.nVars)*bytesPerFinishV + 64)
+	base += cs.PlanBytes
 	return base
 }
 
@@ -561,27 +671,35 @@ func (s *Session) MemoryFootprint() int64 {
 // Unlike canonicalSetKey it distinguishes row order, which matters wherever
 // the identity of the solve — not just the feasible region — is cached.
 func packedRowsKey(rows []ilp.PackedRow) string {
-	var sb strings.Builder
+	return string(appendPackedRows(nil, rows))
+}
+
+func appendPackedRows(b []byte, rows []ilp.PackedRow) []byte {
 	for _, r := range rows {
-		var b [13]byte
-		b[0] = byte(r.Rel)
-		binary.LittleEndian.PutUint64(b[1:9], math.Float64bits(r.RHS))
-		binary.LittleEndian.PutUint32(b[9:13], uint32(len(r.Cols)))
-		sb.Write(b[:])
+		b = append(b, byte(r.Rel))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.RHS))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Cols)))
 		for k, col := range r.Cols {
-			var e [12]byte
-			binary.LittleEndian.PutUint32(e[:4], uint32(col))
-			binary.LittleEndian.PutUint64(e[4:], math.Float64bits(r.Vals[k]))
-			sb.Write(e[:])
+			b = binary.LittleEndian.AppendUint32(b, uint32(col))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Vals[k]))
 		}
 	}
-	return sb.String()
+	return b
+}
+
+// keyPrefix starts a cache key with the direction and the length-prefixed
+// loop rows of its base.
+func keyPrefix(di int, loopKey string, extra int) []byte {
+	b := make([]byte, 0, 5+len(loopKey)+extra)
+	b = append(b, byte(di))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(loopKey)))
+	return append(b, loopKey...)
 }
 
 // baseKey identifies a warm base: direction plus the exact loop-bound rows
 // appended to the structural prefix.
 func baseKey(di int, loopKey string) string {
-	return fmt.Sprintf("%d|%s", di, loopKey)
+	return string(keyPrefix(di, loopKey, 0))
 }
 
 // solveKey identifies a per-set outcome: direction, the loop rows of the
@@ -589,9 +707,7 @@ func baseKey(di int, loopKey string) string {
 // whose sets share this key describe the identical ILP feasible region, so
 // the optimal cycle count and feasibility transfer.
 func solveKey(di int, loopKey, setKey string) string {
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(loopKey)))
-	return fmt.Sprintf("%d|%s%s%s", di, lb[:], loopKey, setKey)
+	return string(append(keyPrefix(di, loopKey, len(setKey)), setKey...))
 }
 
 // finishKey identifies a winner's canonical count vector. The winning
@@ -600,7 +716,5 @@ func solveKey(di int, loopKey, setKey string) string {
 // re-derives its own counts, keeping reports bit-identical to the one-shot
 // path.
 func finishKey(di int, loopKey string, set []ilp.Constraint) string {
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(loopKey)))
-	return fmt.Sprintf("%d|%s%s%s", di, lb[:], loopKey, packedRowsKey(ilp.Pack(set)))
+	return string(appendPackedRows(keyPrefix(di, loopKey, 64), ilp.Pack(set)))
 }

@@ -153,9 +153,9 @@ func TestSessionCacheReuse(t *testing.T) {
 	if third.Stats.Solved == 0 {
 		t.Fatal("perturbed scenario solved nothing new") // its changed set must miss
 	}
-	bases, solves, finishes := sess.CacheStats()
-	if bases == 0 || solves == 0 || finishes == 0 {
-		t.Fatalf("cache stats %d/%d/%d, want all nonzero", bases, solves, finishes)
+	cs := sess.CacheStats()
+	if cs.WarmBases == 0 || cs.SetOutcomes == 0 || cs.CountVectors == 0 || cs.Plans == 0 {
+		t.Fatalf("cache stats %+v, want all nonzero", cs)
 	}
 }
 

@@ -91,6 +91,12 @@ func (a *Session) structural(withLinkage bool) []ilp.Constraint {
 //
 //	lo * sum(entry edges) <= sum(back edges) <= hi * sum(entry edges)
 func (a *Analyzer) LoopBoundConstraints() []ilp.Constraint {
+	return a.loopBoundRows(true)
+}
+
+// loopBoundRows is LoopBoundConstraints with the diagnostic row names
+// formatted only when named is set; the solve path lowers without them.
+func (a *Analyzer) loopBoundRows(named bool) []ilp.Constraint {
 	if a.annots == nil {
 		return nil
 	}
@@ -103,15 +109,11 @@ func (a *Analyzer) LoopBoundConstraints() []ilp.Constraint {
 		fc := a.Prog.Funcs[ctx.Func]
 		for _, lb := range sec.LoopBounds {
 			loop := fc.Loops[lb.Loop-1]
-			upper := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.LE,
-				Name:   fmt.Sprintf("%s: loop %d upper %d", ctx, lb.Loop, lb.Hi),
-			}
-			lower := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.GE,
-				Name:   fmt.Sprintf("%s: loop %d lower %d", ctx, lb.Loop, lb.Lo),
+			upper := ilp.Constraint{Coeffs: map[int]float64{}, Rel: ilp.LE}
+			lower := ilp.Constraint{Coeffs: map[int]float64{}, Rel: ilp.GE}
+			if named {
+				upper.Name = fmt.Sprintf("%s: loop %d upper %d", ctx, lb.Loop, lb.Hi)
+				lower.Name = fmt.Sprintf("%s: loop %d lower %d", ctx, lb.Loop, lb.Lo)
 			}
 			for _, e := range loop.BackEdges {
 				upper.Coeffs[a.edgeVar(ctx.ID, e)] += 1
@@ -128,7 +130,7 @@ func (a *Analyzer) LoopBoundConstraints() []ilp.Constraint {
 }
 
 // resolveVar expands a symbolic constraint variable into ILP terms,
-// multiplying each context instance by coef.
+// multiplying each context instance by coef. A nil into only validates.
 // resolveVar errors are bare messages (no "ipet:" prefix): the callers wrap
 // them in an *AnnotationError carrying the relation's file and line.
 func (a *Session) resolveVar(v constraint.Var, coef float64, into map[int]float64) error {
@@ -167,37 +169,48 @@ func (a *Session) resolveVar(v constraint.Var, coef float64, into map[int]float6
 		ctxs = filtered
 	}
 
+	// Every instance contributes the same local block or edge (a call
+	// site's edge for an f-variable) in its own context's columns.
+	var local int
+	block := false
 	switch v.Kind {
 	case constraint.VarBlock:
 		if v.Index > len(fc.Blocks) {
 			return fmt.Errorf("%s has %d blocks, constraint names x%d", v.Func, len(fc.Blocks), v.Index)
 		}
-		for _, c := range ctxs {
-			into[a.blockVar(c.ID, v.Index-1)] += coef
-		}
+		local, block = v.Index-1, true
 	case constraint.VarEdge:
 		if v.Index > len(fc.Edges) {
 			return fmt.Errorf("%s has %d edges, constraint names d%d", v.Func, len(fc.Edges), v.Index)
 		}
-		for _, c := range ctxs {
-			into[a.edgeVar(c.ID, v.Index-1)] += coef
-		}
+		local = v.Index - 1
 	case constraint.VarCall:
 		if v.Index > len(fc.Calls) {
 			return fmt.Errorf("%s has %d call sites, constraint names f%d", v.Func, len(fc.Calls), v.Index)
 		}
-		for _, c := range ctxs {
-			into[a.edgeVar(c.ID, fc.Calls[v.Index-1])] += coef
+		local = fc.Calls[v.Index-1]
+	default:
+		return nil
+	}
+	if into == nil {
+		return nil
+	}
+	for _, c := range ctxs {
+		if block {
+			into[a.blockVar(c.ID, local)] += coef
+		} else {
+			into[a.edgeVar(c.ID, local)] += coef
 		}
 	}
 	return nil
 }
 
 // relToILP converts a normalized constraint relation to an ILP constraint.
-// Resolution failures come back as *AnnotationError at the relation's source
-// position.
+// The row is left unnamed: formatting r.String() per row is costly, and only
+// the ILP dump shows names (it sets them itself). Resolution failures come
+// back as *AnnotationError at the relation's source position.
 func (a *Session) relToILP(r constraint.Rel) (ilp.Constraint, error) {
-	c := ilp.Constraint{Coeffs: map[int]float64{}, RHS: float64(r.RHS), Name: r.String()}
+	c := ilp.Constraint{Coeffs: map[int]float64{}, RHS: float64(r.RHS)}
 	switch r.Op {
 	case constraint.OpEQ:
 		c.Rel = ilp.EQ
@@ -206,24 +219,29 @@ func (a *Session) relToILP(r constraint.Rel) (ilp.Constraint, error) {
 	case constraint.OpGE:
 		c.Rel = ilp.GE
 	}
+	return c, a.resolveRel(r, c.Coeffs)
+}
+
+// resolveRel resolves every term of r into into (nil only validates),
+// reporting a failure as an *AnnotationError at r's source position.
+func (a *Session) resolveRel(r constraint.Rel, into map[int]float64) error {
 	for v, coef := range r.Terms {
-		if err := a.resolveVar(v, float64(coef), c.Coeffs); err != nil {
-			return c, &AnnotationError{File: r.File, Line: r.Line,
+		if err := a.resolveVar(v, float64(coef), into); err != nil {
+			return &AnnotationError{File: r.File, Line: r.Line,
 				Msg: fmt.Sprintf("%v (in %q)", err, r.String())}
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // checkFormula resolves every relation of a formula tree against the CFG
-// without keeping the rows: Apply runs it so malformed formulas fail at
+// without building any rows: Apply runs it so malformed formulas fail at
 // annotation time with a positioned diagnostic instead of surfacing — or
 // worse, being skipped — during set expansion.
 func (a *Session) checkFormula(f constraint.Formula) error {
 	switch n := f.(type) {
 	case *constraint.Atom:
-		_, err := a.relToILP(n.Rel)
-		return err
+		return a.resolveRel(n.Rel, nil)
 	case *constraint.And:
 		for _, p := range n.Parts {
 			if err := a.checkFormula(p); err != nil {

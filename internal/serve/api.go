@@ -243,6 +243,12 @@ type SessionStatsJSON struct {
 	WarmBases    int    `json:"warm_bases"`
 	SetOutcomes  int    `json:"set_outcomes"`
 	CountVectors int    `json:"count_vectors"`
+	// Plans counts the compiled solver plans resident in the session's
+	// plan cache (at most 16 annotation texts); DominatedOutcomes is the
+	// share of SetOutcomes that are cached domination bounds. Both count
+	// toward MemoryBytes.
+	Plans             int `json:"plans"`
+	DominatedOutcomes int `json:"dominated_outcomes"`
 	// ArtifactHits/ArtifactMisses are the prepare artifacts this session's
 	// build served from (vs inserted into) the process-wide cache — a
 	// re-prepared (evicted and resubmitted) session should be all hits.

@@ -803,23 +803,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, ent := range ents {
 		tot := ent.sess.Totals()
-		bases, solves, finishes := ent.sess.CacheStats()
+		cs := ent.sess.CacheStats()
 		ahits, amisses := ent.sess.ArtifactStats()
 		resp.Sessions = append(resp.Sessions, SessionStatsJSON{
-			Program:        ent.hash,
-			Root:           ent.root,
-			MemoryBytes:    ent.sess.MemoryFootprint(),
-			Estimates:      tot.Estimates,
-			Formula:        tot.FormulaAnswers,
-			Degraded:       tot.Degraded,
-			DeadlineHits:   tot.DeadlineHits,
-			Pivots:         tot.Stats.Pivots,
-			CacheHits:      tot.Stats.CacheHits,
-			WarmBases:      bases,
-			SetOutcomes:    solves,
-			CountVectors:   finishes,
-			ArtifactHits:   ahits,
-			ArtifactMisses: amisses,
+			Program:           ent.hash,
+			Root:              ent.root,
+			MemoryBytes:       ent.sess.MemoryFootprint(),
+			Estimates:         tot.Estimates,
+			Formula:           tot.FormulaAnswers,
+			Degraded:          tot.Degraded,
+			DeadlineHits:      tot.DeadlineHits,
+			Pivots:            tot.Stats.Pivots,
+			CacheHits:         tot.Stats.CacheHits,
+			WarmBases:         cs.WarmBases,
+			SetOutcomes:       cs.SetOutcomes,
+			CountVectors:      cs.CountVectors,
+			Plans:             cs.Plans,
+			DominatedOutcomes: cs.Dominated,
+			ArtifactHits:      ahits,
+			ArtifactMisses:    amisses,
 		})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
