@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"cinderella/internal/cc"
 	"cinderella/internal/cfg"
 	"cinderella/internal/eval"
 	"cinderella/internal/ilp"
+	"cinderella/internal/ilp/certify"
 	"cinderella/internal/ipet"
 )
 
@@ -335,22 +337,69 @@ func TestCompilesDeterministically(t *testing.T) {
 // TestBenchProgramsSparseDenseDifferential rebuilds the whole suite with
 // the solver's sparse/dense self-check armed: every simplex call made
 // while estimating the 13 benchmarks is replayed through the dense oracle,
-// and any divergence in status or objective panics. This extends the
-// fixture-level differential of internal/ilp to the production workloads.
+// and any divergence in status or objective is settled by the exact
+// rational simplex — the check fails only when the production solver's
+// claim disagrees with the exact optimum (the dense oracle itself drifts
+// past the agreement tolerance on whetstone's large loop counts). Every
+// report must be exact, with no crashed or unsolved set, and equal to the
+// unchecked run's bounds: a divergence panic absorbed into an envelope
+// would otherwise pass unnoticed. This extends the fixture-level
+// differential of internal/ilp to the production workloads.
 func TestBenchProgramsSparseDenseDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds the full suite twice per LP")
 	}
+	want := map[string]*ipet.Estimate{}
+	for _, b := range All() {
+		bt, err := b.Build(ipet.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[b.Name] = bt.Est
+	}
 	ilp.SetSelfCheck(true)
-	defer ilp.SetSelfCheck(false)
+	ilp.SetSelfCheckReferee(exactLPReferee)
+	defer func() {
+		ilp.SetSelfCheck(false)
+		ilp.SetSelfCheckReferee(nil)
+	}()
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			if _, err := b.Build(ipet.DefaultOptions()); err != nil {
+			bt, err := b.Build(ipet.DefaultOptions())
+			if err != nil {
 				t.Fatal(err)
+			}
+			est, ref := bt.Est, want[b.Name]
+			if !est.WCET.Exact || !est.BCET.Exact {
+				t.Errorf("report not exact: WCET %+v, BCET %+v", est.WCET, est.BCET)
+			}
+			if est.Stats.SetsUnsolved != 0 || est.Stats.SetsWidened != 0 {
+				t.Errorf("%d sets unsolved, %d widened (crashed solves included)",
+					est.Stats.SetsUnsolved, est.Stats.SetsWidened)
+			}
+			if est.WCET.Cycles != ref.WCET.Cycles || est.BCET.Cycles != ref.BCET.Cycles {
+				t.Errorf("self-checked bound [%d, %d], unchecked [%d, %d]",
+					est.BCET.Cycles, est.WCET.Cycles, ref.BCET.Cycles, ref.WCET.Cycles)
 			}
 		})
 	}
+}
+
+// exactLPReferee settles a self-check divergence with the exact rational
+// simplex on the LP relaxation of the diverging problem.
+func exactLPReferee(p *ilp.Problem) (ilp.Status, float64, error) {
+	relax := *p
+	relax.Integer = false
+	res, err := certify.SolveExact(context.Background(), &relax)
+	if err != nil {
+		return 0, 0, err
+	}
+	var obj float64
+	if res.Status == ilp.Optimal {
+		obj, _ = res.Objective.Float64()
+	}
+	return res.Status, obj, nil
 }
 
 // BenchmarkBuild times the full pipeline — compile, CFG, annotate,

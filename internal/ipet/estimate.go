@@ -77,8 +77,9 @@ type Stats struct {
 	// infeasible).
 	Solved int
 	// WarmSolves counts jobs concluded by the warm dual-simplex path;
-	// ColdSolves counts full two-phase solves (base solves, fallbacks,
-	// disabled warm start, and the winner's canonicalizing re-solve).
+	// ColdSolves counts full two-phase solves (base solves, the lone set
+	// of a one-set direction, fallbacks, disabled warm start, and the
+	// winner's canonicalizing re-solve).
 	WarmSolves int
 	ColdSolves int
 	// Pivots counts simplex pivots across every solve of the estimate —
@@ -123,8 +124,11 @@ type Stats struct {
 	// each was re-solved exactly. Zero without Options.Certify — and zero on
 	// a healthy solver.
 	CertFailures int
-	// ExactResolves counts exact rational re-solves performed under
-	// Options.Certify: one per claim without a verifiable certificate.
+	// ExactResolves counts exact rational re-solves: under Options.Certify
+	// one per claim without a verifiable certificate, and in every mode one
+	// per infeasibility claim confirmed before it is reported — a cold
+	// solve's, or any claim of a direction whose every set claims
+	// infeasibility (trivially null sets need no confirmation).
 	ExactResolves int
 	// FormulaEvals counts queries of this report answered by a parametric
 	// piecewise-linear formula with no simplex work (ParamBound.EstimateAt);
@@ -425,13 +429,16 @@ type solveResult struct {
 	stats  ilp.Stats
 	// warm marks a result concluded on the warm dual-simplex path (its
 	// values may sit on an alternate optimal vertex); cold marks that a
-	// full two-phase solve ran; dup marks a result copied from the set's
-	// canonical representative. The winner's counts are re-derived from a
-	// plain cold solve whenever warm or dup is set, keeping the reported
-	// BoundReport bit-identical to the exhaustive path.
-	warm bool
-	cold bool
-	dup  bool
+	// full two-phase solve ran, and cutoff that it ran under an incumbent
+	// cutoff; dup marks a result copied from the set's canonical
+	// representative. The winner's counts are re-derived from a plain cold
+	// solve whenever warm or dup is set, keeping the reported BoundReport
+	// bit-identical to the exhaustive path. A cold solve without a cutoff
+	// is that plain solve, so its values are the counts.
+	warm   bool
+	cold   bool
+	cutoff bool
+	dup    bool
 	// cacheHit marks a result answered by a persistent session's per-set
 	// outcome cache. It always rides with dup: cached outcomes carry no
 	// value vector, so a cache-hit winner re-derives counts exactly like a
@@ -487,14 +494,7 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 	var p *ilp.Problem
 	problem := func() *ilp.Problem {
 		if p == nil {
-			p = &ilp.Problem{
-				Sense:       d.sense,
-				NumVars:     d.obj.nVars,
-				Integer:     true,
-				Objective:   d.obj.coeffs,
-				Prefix:      d.prefix,
-				Constraints: set,
-			}
+			p = d.setProblem(set)
 		}
 		return p
 	}
@@ -544,6 +544,7 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 		return solveResult{err: err}
 	}
 	r.cold = true
+	r.cutoff = useCutoff
 	r.status = sol.Status
 	r.cycles = int64(math.Round(sol.Objective))
 	r.values = sol.Values
@@ -555,12 +556,51 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 	r.stats.RevisedPivots += sol.Stats.RevisedPivots
 	r.stats.Refactorizations += sol.Stats.Refactorizations
 	r.stats.RootIntegral = sol.Stats.RootIntegral
-	if certOn {
+	// A float infeasibility claim is confirmed exactly whether or not the
+	// run certifies: phase 1 can strand a tiny artificial residue on a
+	// feasible problem, and reporting that verdict would turn a sound bound
+	// into "annotations admit no execution". A trivially null set is proven
+	// infeasible by its interval contradiction already; any other set is
+	// genuinely infeasible only on a user-error path, so healthy runs never
+	// pay for the exact solve.
+	if certOn || (r.status == ilp.Infeasible && !triviallyNull(set)) {
 		if err := a.certifyOutcome(ctx, &r, problem(), sol.Cert); err != nil {
 			return solveResult{err: err}
 		}
 	}
 	return r
+}
+
+// confirmAllInfeasible backs a direction whose every distinct set claims
+// infeasibility — the claims an InfeasibleError would rest on — with exact
+// re-solves before they are reported. solveSet already confirms a cold
+// solve's claims; this covers the warm path's and cached ones. A claim the
+// exact solver overturns becomes its exact outcome, values included, and
+// replaces the cached entry. Only annotation errors reach this path, so
+// healthy runs never pay for it.
+func (a *Analyzer) confirmAllInfeasible(ctx context.Context, di int, plan *solverPlan, results []solveResult) error {
+	for k := range results {
+		if r := &results[k]; r.unsolved || r.status != ilp.Infeasible {
+			return nil
+		}
+	}
+	d := &plan.dirs[di]
+	for k, si := range plan.distinct {
+		r := &results[k]
+		if r.certified || triviallyNull(plan.sets[si]) {
+			continue
+		}
+		if err := a.certifyOutcome(ctx, r, d.setProblem(plan.sets[si]), nil); err != nil {
+			return err
+		}
+		// The outcome is the exact solve's own now: its values are the
+		// counts, and its work is this estimate's.
+		r.warm, r.dup, r.cacheHit = false, false, false
+		if a.persist {
+			a.storeOutcome(plan.outKeys[di*len(plan.distinct)+k], d.sense, r)
+		}
+	}
+	return nil
 }
 
 // cutoffMargin turns an incumbent cycle count into the solver cutoff.
@@ -761,8 +801,13 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, env envelope, plan *so
 // the exhaustive path reports. Prepared sessions retain that canonical
 // count vector, keyed order-sensitively by the winning set's own rows, so
 // a repeat scenario skips the re-solve and still reports identical counts.
+// A winner solved cold without a cutoff already is that canonical solve:
+// its values are reported directly and retained the same way.
 func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *solverPlan, best *BoundReport, win *solveResult) error {
 	if !win.warm && !win.dup {
+		if a.persist && win.cold && !win.cutoff {
+			a.finishCache.Put(plan.finishKey(di, best.SetIndex), win.values)
+		}
 		best.Counts = a.aggregateCounts(win.values)
 		return nil
 	}
@@ -775,14 +820,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 			return nil
 		}
 	}
-	p := &ilp.Problem{
-		Sense:       d.sense,
-		NumVars:     d.obj.nVars,
-		Integer:     true,
-		Objective:   d.obj.coeffs,
-		Prefix:      d.prefix,
-		Constraints: plan.sets[best.SetIndex],
-	}
+	p := d.setProblem(plan.sets[best.SetIndex])
 	sol, err := ilp.SolveCtxOpts(ctx, p, ilp.SolveOptions{WantCert: a.Opts.Certify})
 	if err != nil {
 		return err
@@ -1097,6 +1135,11 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		hitDeadline.Store(true)
 	}
 	est.Stats.DeadlineHit = hitDeadline.Load()
+	for d := range dirs {
+		if err := a.confirmAllInfeasible(ctx, d, plan.solverPlan, results[d*nd:(d+1)*nd]); err != nil {
+			return nil, err
+		}
+	}
 
 	// Work statistics accumulate once per distinct job, in job order, so
 	// duplicate fan-out below cannot double-count a representative.

@@ -60,7 +60,9 @@ type Options struct {
 	// WarmStart solves the shared structural system once per objective
 	// sense and re-solves each constraint set by dual simplex from that
 	// base optimum, with only the set's delta rows attached. Fractional
-	// roots and pathological pivots fall back to the cold solver.
+	// roots and pathological pivots fall back to the cold solver. It
+	// applies to plans with at least two distinct sets: a lone set has no
+	// siblings to amortise the base over and is solved once, cold.
 	WarmStart bool
 	// IncumbentPrune shares the best bound found so far across the solve
 	// pool and abandons any set whose LP relaxation proves it strictly

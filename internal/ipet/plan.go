@@ -12,12 +12,26 @@ import (
 
 // direction bundles everything one objective sense shares across its
 // per-set solves: the objective, the pre-lowered shared rows, and (when
-// enabled and available) the warm-start base tableau.
+// enabled and the plan has at least two distinct sets) the warm-start base
+// tableau.
 type direction struct {
 	sense  ilp.Sense
 	obj    objective
 	prefix []ilp.PackedRow
 	warm   *ilp.WarmStart
+}
+
+// setProblem is the full integer problem of one constraint set in this
+// direction: the shared prefix plus the set's own rows.
+func (d *direction) setProblem(set []ilp.Constraint) *ilp.Problem {
+	return &ilp.Problem{
+		Sense:       d.sense,
+		NumVars:     d.obj.nVars,
+		Integer:     true,
+		Objective:   d.obj.coeffs,
+		Prefix:      d.prefix,
+		Constraints: set,
+	}
 }
 
 // envelope is a direction's base LP relaxation optimum (structural + loop +
@@ -255,7 +269,10 @@ func (a *Analyzer) buildPlan() (plan *solverPlan, work setupWork, err error) {
 		prefix = append(prefix, loops...)
 		prefix = append(prefix, db.packedExtra...)
 		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
-		if a.Opts.WarmStart {
+		// A warm base amortises one base solve over sibling sets; a lone set
+		// has none, so it is solved once, cold, and that solve's values are
+		// the reported counts.
+		if a.Opts.WarmStart && len(plan.distinct) > 1 {
 			newBase := func() *warmBaseEntry {
 				// Certify needs the un-presolved base: the exact checker
 				// re-derives the warm tableau layout from the problem, which
@@ -283,6 +300,9 @@ func (a *Analyzer) buildPlan() (plan *solverPlan, work setupWork, err error) {
 				work.lp++
 				work.cold++
 				work.pivots += entry.pivots
+				if a.persist {
+					a.warmBytes.Add(entry.warm.RetainedBytes())
+				}
 			}
 		}
 		var env envelope

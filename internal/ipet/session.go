@@ -27,12 +27,13 @@ import (
 // query.
 //
 // A prepared session additionally retains solver results across Estimate
-// calls: warm-start base tableaux keyed by the loop-bound rows, the
-// outcome (optimal cycles, infeasibility, or a proven domination bound)
-// of every distinct conjunctive set it has solved, and the winners'
-// canonical count vectors. Scenarios that share loop bounds and some
-// constraint sets — the common case when the user tweaks one formula
-// among many — skip the shared solves entirely.
+// calls: warm-start base tableaux keyed by the loop-bound rows (for plans
+// with at least two distinct sets), the outcome (optimal cycles,
+// infeasibility, or a proven domination bound) of every distinct
+// conjunctive set it has solved, and the winners' canonical count vectors.
+// Scenarios that share loop bounds and some constraint sets — the common
+// case when the user tweaks one formula among many — skip the shared
+// solves entirely.
 //
 // It also keeps the compiled solver plans of the last 16 annotation texts
 // it analyzed, keyed by a canonical form of the annotations (section
@@ -102,8 +103,10 @@ type Session struct {
 	baseCache   *cache.Keyed[string, *warmBaseEntry]
 	solveCache  *cache.Keyed[string, cachedSolve]
 	finishCache *cache.Keyed[string, []float64]
-	// dominated counts the solveCache entries holding a domination bound.
+	// dominated counts the solveCache entries holding a domination bound;
+	// warmBytes sums the retained bytes of the baseCache's warm bases.
 	dominated atomic.Int64
+	warmBytes atomic.Int64
 
 	// totalsMu guards totals, the cumulative work ledger across every
 	// estimate this session has served. A long-lived service polls Totals
@@ -591,8 +594,10 @@ type CacheStats struct {
 	Plans     int
 	PlanBytes int64
 	// WarmBases counts warm-start base tableaux (one per direction and
-	// distinct loop-bound rows).
-	WarmBases int
+	// distinct loop-bound rows, built only for plans with at least two
+	// distinct sets); WarmBaseBytes is the heap they retain.
+	WarmBases     int
+	WarmBaseBytes int64
 	// SetOutcomes counts distinct per-set outcomes, Dominated of which
 	// are proven domination bounds rather than optimal or infeasible
 	// results.
@@ -607,12 +612,13 @@ type CacheStats struct {
 func (s *Session) CacheStats() CacheStats {
 	plans, planBytes := s.plans.stats()
 	return CacheStats{
-		Plans:        plans,
-		PlanBytes:    planBytes,
-		WarmBases:    s.baseCache.Len(),
-		SetOutcomes:  s.solveCache.Len(),
-		Dominated:    int(s.dominated.Load()),
-		CountVectors: s.finishCache.Len(),
+		Plans:         plans,
+		PlanBytes:     planBytes,
+		WarmBases:     s.baseCache.Len(),
+		WarmBaseBytes: s.warmBytes.Load(),
+		SetOutcomes:   s.solveCache.Len(),
+		Dominated:     int(s.dominated.Load()),
+		CountVectors:  s.finishCache.Len(),
 	}
 }
 
@@ -620,12 +626,10 @@ func (s *Session) CacheStats() CacheStats {
 // structural model (variable layout, contexts, packed rows, cost tables)
 // plus the persistent caches — the compiled plans of the plan LRU, the
 // per-set outcomes (cached domination bounds included) and count vectors,
-// and above all the warm base tableaux (a dense m x (n+m) float64 tableau
-// per distinct loop-bound key and direction). The figure is an accounting
-// estimate, not an exact heap measurement — it is deliberately
-// conservative and follows every cache's growth (and the plan LRU's
-// evictions), which is what an eviction policy needs: relative order and
-// growth are faithful even where absolute bytes are approximate. Safe for
+// and the warm base tableaux, each charged the bytes it reports retaining
+// (ilp.WarmStart.RetainedBytes). The figure is an accounting estimate, not
+// an exact heap measurement; it follows every cache's growth (and the plan
+// LRU's evictions), which is what an eviction policy needs. Safe for
 // concurrent use.
 func (s *Session) MemoryFootprint() int64 {
 	const (
@@ -654,13 +658,8 @@ func (s *Session) MemoryFootprint() int64 {
 	for _, costs := range s.costs {
 		base += int64(len(costs)) * bytesPerCost
 	}
-	// One warm base retains a dense simplex tableau over the base rows:
-	// roughly m x (n + m + 2) float64 cells plus basis bookkeeping, with m
-	// the prefix row count and n the variable count.
-	m := int64(len(s.packedStructural)) + 16 // + loop-bound rows, estimated
-	tableau := m * (int64(s.nVars) + m + 2) * 8
 	cs := s.CacheStats()
-	base += int64(cs.WarmBases) * tableau
+	base += cs.WarmBaseBytes
 	base += int64(cs.SetOutcomes) * bytesPerOutcome
 	base += int64(cs.CountVectors) * (int64(s.nVars)*bytesPerFinishV + 64)
 	base += cs.PlanBytes
