@@ -10,6 +10,7 @@ import (
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
 	"cinderella/internal/ipet"
+	"cinderella/internal/prepcache"
 )
 
 // TestOneSetProgramsSolveColdOnce: a direction whose plan has one distinct
@@ -46,6 +47,9 @@ func TestOneSetProgramsSolveColdOnce(t *testing.T) {
 					t.Fatalf("%s: %v", p.name, err)
 				}
 				distinct := est.Stats.SetsTotal - est.Stats.PrunedNull - est.Stats.Deduped
+				// Its own cache: the shared outcome store must not pre-answer
+				// the first estimate whose work this test counts.
+				opts.Artifacts = prepcache.New()
 				sess, err := ipet.Prepare(p.prog, p.root, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -178,9 +182,9 @@ func TestColdInfeasibleClaimConfirmedExactly(t *testing.T) {
 }
 
 // TestSessionFootprintTracksHeap: a prepared session's accounted footprint
-// (Session.MemoryFootprint, which a server's memory budget evicts by)
-// stays within 2x of the heap the session actually grows by after 20
-// annotation variants: loop-bound variants of dhry (each builds two warm
+// (Session.MemoryFootprint, which a server's memory budget evicts by) plus
+// the accounted bytes of the outcome store its solves fill stay within 2x
+// of the heap the two actually grow by after 20 annotation variants: loop-bound variants of dhry (each builds two warm
 // bases) and, since the 64-set explosion chain has no loops, explosion64
 // variants that add a redundant path fact to every set (each solves 128
 // new sets).
@@ -194,6 +198,7 @@ func TestSessionFootprintTracksHeap(t *testing.T) {
 		}
 		opts := ipet.DefaultOptions()
 		opts.Workers = 1
+		opts.Artifacts = prepcache.New()
 		variants := make([]*constraint.File, 20)
 		for i := range variants {
 			var text string
@@ -225,7 +230,7 @@ func TestSessionFootprintTracksHeap(t *testing.T) {
 			}
 		}
 		grown := heapInUse() - before
-		accounted := sess.MemoryFootprint()
+		accounted := sess.MemoryFootprint() + opts.Artifacts.Outcomes().Stats().Bytes
 		runtime.KeepAlive(sess)
 		t.Logf("%s: accounted %d bytes, heap grew %d bytes (%+v)", p.name, accounted, grown, sess.CacheStats())
 		if grown <= 0 || accounted > 2*grown || grown > 2*accounted {

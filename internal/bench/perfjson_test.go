@@ -187,6 +187,7 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	recs = append(recs, sessionRows(t)...)
 	recs = append(recs, parametricRows(t)...)
 	recs = append(recs, prepareRows(t)...)
+	recs = append(recs, resubmitRows(t)...)
 
 	path := os.Getenv("CINDERELLA_BENCH_JSON")
 	if path == "" {

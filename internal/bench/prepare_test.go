@@ -155,6 +155,73 @@ func prepareRows(t *testing.T) []EstimatePerf {
 	return rows
 }
 
+// resubmitRows measures a resubmitted program on dhry, jpeg_idct_islow and
+// explosion64: a second Prepare of the same program against the same
+// cache, then Estimate. The /resubmit-before row empties the outcome
+// store before each iteration, which is what every fresh session paid
+// while outcomes were kept per session; the /resubmit row keeps it, so the
+// new session answers from the outcomes the first one stored. The
+// resubmit must spend no pivots and report exactly what the before row
+// reports.
+func resubmitRows(t *testing.T) []EstimatePerf {
+	t.Helper()
+	opts := ipet.DefaultOptions()
+	opts.Workers = 1
+	var rows []EstimatePerf
+	for _, p := range editablePrograms(t) {
+		if p.name != "dhry" && p.name != "jpeg_idct_islow" && p.name != "explosion64" {
+			continue
+		}
+		file, err := constraint.Parse(p.annots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Artifacts = prepcache.New()
+		run := func(b *testing.B, reset bool) *ipet.Estimate {
+			var est *ipet.Estimate
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if reset {
+					opts.Artifacts.Outcomes().Reset()
+				}
+				sess, err := ipet.Prepare(p.prog, p.root, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if est, err = sess.Estimate(file); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return est
+		}
+		var before, after *ipet.Estimate
+		beforeRes := testing.Benchmark(func(b *testing.B) { before = run(b, true) })
+		afterRes := testing.Benchmark(func(b *testing.B) { after = run(b, false) })
+		if after.Stats.Pivots != 0 || after.LPSolves != 0 {
+			t.Errorf("%s resubmit: %d pivots, %d LP calls; want none", p.name, after.Stats.Pivots, after.LPSolves)
+		}
+		if renderReports(after) != renderReports(before) {
+			t.Errorf("%s resubmit reports\n%s\ndiffer from\n%s", p.name, renderReports(after), renderReports(before))
+		}
+		for _, r := range []struct {
+			suffix string
+			res    testing.BenchmarkResult
+			est    *ipet.Estimate
+		}{{"/resubmit-before", beforeRes, before}, {"/resubmit", afterRes, after}} {
+			row := EstimatePerf{
+				Name:        p.name + r.suffix,
+				NsPerOp:     float64(r.res.NsPerOp()),
+				AllocsPerOp: float64(r.res.AllocsPerOp()),
+			}
+			row.FillFromEstimate(r.est)
+			rows = append(rows, row)
+		}
+		t.Logf("%s: resubmit %d ns/op (%d pivots) vs %d ns/op (%d pivots) before",
+			p.name, afterRes.NsPerOp(), after.Stats.Pivots, beforeRes.NsPerOp(), before.Stats.Pivots)
+	}
+	return rows
+}
+
 // TestPrepareIncrementalGate is the CI bench-smoke gate on the cold path:
 // an artifact-warm dhry prepare must be at least 3x cheaper than a cold
 // one, and the BoundReports must be bit-identical across cold and

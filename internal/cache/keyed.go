@@ -48,19 +48,6 @@ func (c *Keyed[K, V]) GetOrCompute(key K, compute func() V) (V, bool) {
 	return v, false
 }
 
-// Update replaces the entry for key with merge(old, present) under the
-// cache lock, so a read-decide-write on one key cannot interleave with
-// another writer. merge returns the value to store and whether to store
-// it; returning false leaves the entry as it was.
-func (c *Keyed[K, V]) Update(key K, merge func(old V, present bool) (V, bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.m[key]
-	if v, store := merge(old, ok); store {
-		c.m[key] = v
-	}
-}
-
 // Len returns the number of cached entries.
 func (c *Keyed[K, V]) Len() int {
 	c.mu.Lock()

@@ -58,44 +58,3 @@ func TestKeyedConcurrent(t *testing.T) {
 		}
 	}
 }
-
-func TestKeyedUpdate(t *testing.T) {
-	k := NewKeyed[string, int]()
-	keepMax := func(v int) func(int, bool) (int, bool) {
-		return func(old int, present bool) (int, bool) {
-			if present && old >= v {
-				return old, false
-			}
-			return v, true
-		}
-	}
-	k.Update("a", keepMax(3))
-	k.Update("a", keepMax(2))
-	if v, ok := k.Get("a"); !ok || v != 3 {
-		t.Fatalf("after declined update: %d, %v; want 3", v, ok)
-	}
-	k.Update("a", keepMax(5))
-	if v, _ := k.Get("a"); v != 5 {
-		t.Fatalf("after accepted update: %d; want 5", v)
-	}
-	k.Update("b", func(int, bool) (int, bool) { return 1, false })
-	if _, ok := k.Get("b"); ok {
-		t.Fatal("declined update of an absent key stored it")
-	}
-
-	// Concurrent read-modify-write through Update never loses an increment.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				k.Update("n", func(old int, _ bool) (int, bool) { return old + 1, true })
-			}
-		}()
-	}
-	wg.Wait()
-	if v, _ := k.Get("n"); v != 800 {
-		t.Fatalf("concurrent updates: %d, want 800", v)
-	}
-}

@@ -174,24 +174,25 @@ func TestBudgetDeterministicDegradation(t *testing.T) {
 func TestEnvelopeIsBaseRelaxation(t *testing.T) {
 	src, annots := manySetProgram(4)
 	an := analyzerWith(t, src, annots, func(o *Options) { o.Budget = 1; o.Workers = 1 })
-	plan, _, err := an.solverSetup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range plan.env {
-		if !e.ok {
-			t.Fatalf("budgeted plan has no relaxation envelope")
-		}
-	}
 	est, err := an.Estimate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW := int64(math.Floor(plan.env[0].relax + 1e-6))
-	wantB := int64(math.Ceil(plan.env[1].relax - 1e-6))
+	plan, err := an.solverSetup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, env := an.readyDirs(plan.solverPlan, []bool{true, true}, true, &setupWork{})
+	for _, e := range env {
+		if !e.ok {
+			t.Fatalf("budgeted plan has no relaxation envelope")
+		}
+	}
+	wantW := int64(math.Floor(env[0].relax + 1e-6))
+	wantB := int64(math.Ceil(env[1].relax - 1e-6))
 	if est.WCET.Cycles != wantW || est.BCET.Cycles != wantB {
 		t.Errorf("envelope [%d, %d], want [floor %g, ceil %g] = [%d, %d]",
-			est.BCET.Cycles, est.WCET.Cycles, plan.env[1].relax, plan.env[0].relax, wantB, wantW)
+			est.BCET.Cycles, est.WCET.Cycles, env[1].relax, env[0].relax, wantB, wantW)
 	}
 }
 

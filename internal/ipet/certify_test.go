@@ -11,6 +11,7 @@ import (
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
+	"cinderella/internal/prepcache"
 )
 
 // buildProg assembles a test program straight to its CFG.
@@ -217,6 +218,9 @@ func TestCertifySessionCache(t *testing.T) {
 	prog := checkDataProgram(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "check_data", opts)
 	if err != nil {
 		t.Fatal(err)

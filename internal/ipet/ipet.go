@@ -41,9 +41,11 @@ type Options struct {
 	MaxContexts int
 	// Artifacts selects the content-addressed prepare-artifact cache
 	// Prepare fetches per-function material from (nil selects the
-	// process-wide prepcache.Default()). Servers that persist artifacts to
-	// disk pass their own cache so restart and fault-injection tests can
-	// run isolated stores side by side.
+	// process-wide prepcache.Default()). Sessions prepared against one
+	// cache also share its store of solved outcomes (see Session).
+	// Servers that persist artifacts to disk pass their own cache so
+	// restart and fault-injection tests can run isolated stores side by
+	// side.
 	Artifacts *prepcache.Cache
 	// Workers bounds the number of concurrent ILP solves in Estimate: the
 	// sets × {max,min} jobs are dispatched to a pool of this size. 0
@@ -105,6 +107,14 @@ type Options struct {
 	// enlarges the feasible region, so the bound stays safe; reports whose
 	// winning set was widened carry Exact=false.
 	WidenSets bool
+}
+
+// artifacts resolves Options.Artifacts to the cache in use.
+func (o *Options) artifacts() *prepcache.Cache {
+	if o.Artifacts != nil {
+		return o.Artifacts
+	}
+	return prepcache.Default()
 }
 
 // DefaultOptions returns the standard analysis configuration.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cinderella/internal/ilp"
+	"cinderella/internal/prepcache"
 )
 
 // TestOneSetPlanSolvesColdOnce: a plan with one distinct set builds no warm
@@ -26,6 +27,9 @@ func TestOneSetPlanSolvesColdOnce(t *testing.T) {
 			t.Fatalf("workers=%d one-shot: %d LP calls, %d warm / %d cold solves; want 2, 0 / 2",
 				workers, want.LPSolves, want.Stats.WarmSolves, want.Stats.ColdSolves)
 		}
+		// Its own cache: the shared outcome store must not pre-answer the
+		// first estimate whose work this test counts.
+		opts.Artifacts = prepcache.New()
 		sess, err := Prepare(prog, "main", opts)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +80,7 @@ func TestColdInfeasibleClaimConfirmed(t *testing.T) {
 		{"trivially null", "func main {\n    x2 = 1\n    x2 = 0\n}\n", 0},
 	} {
 		an := analyzerWith(t, src, c.annots, func(o *Options) { o.PruneNullSets = false })
-		plan, _, err := an.solverSetup()
+		plan, err := an.solverSetup()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +121,7 @@ func TestAllInfeasibleDirectionConfirmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := an.solverSetup()
+	plan, err := an.solverSetup()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TestSolveSetCancelled(t *testing.T) {
 	if err := an.Apply(f); err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := an.solverSetup()
+	plan, err := an.solverSetup()
 	if err != nil {
 		t.Fatal(err)
 	}

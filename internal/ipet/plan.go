@@ -5,15 +5,17 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
+	"cinderella/internal/prepcache"
 )
 
 // direction bundles everything one objective sense shares across its
 // per-set solves: the objective, the pre-lowered shared rows, and (when
-// enabled and the plan has at least two distinct sets) the warm-start base
-// tableau.
+// enabled, the plan has at least two distinct sets, and some job of the
+// direction has had to be solved) the warm-start base tableau.
 type direction struct {
 	sense  ilp.Sense
 	obj    objective
@@ -44,9 +46,9 @@ type envelope struct {
 	ok    bool
 }
 
-// setupWork is solver work spent building a plan (warm base solves, the
-// base LP of a budgeted envelope), charged to the first Estimate of the
-// analyzer that performed it.
+// setupWork is solver work spent readying a plan's directions (warm base
+// solves, the base LP of a budgeted envelope), charged to the Estimate
+// that performed it.
 type setupWork struct {
 	lp, cold, pivots, net, rev, refactors int
 }
@@ -62,10 +64,10 @@ func (w *setupWork) addSolve(st ilp.Stats) {
 
 // solverPlan is the compiled solver setup of one annotation text: the
 // expanded constraint sets with their canonical-dedup structure, the two
-// solve directions, and — on prepared sessions — every cache key the
-// estimate looks up. It is immutable once built apart from two lazily
-// filled, mutex-guarded memos (solved envelopes and winners' finish keys),
-// so a prepared session shares one plan among every
+// solve directions, and — on prepared sessions — every outcome-store key
+// the estimate looks up. It is immutable once built apart from three
+// lazily filled, mutex-guarded memos (warm bases, solved envelopes and
+// winners' finish keys), so a prepared session shares one plan among every
 // analyzer (and every concurrent Estimate) whose annotations compile to
 // the same key; see planCache.
 type solverPlan struct {
@@ -84,15 +86,15 @@ type solverPlan struct {
 	// keys[i] is the canonical key of set i, computed when dedup or a
 	// persistent session needs it (nil otherwise). On persistent sessions
 	// loopKey identifies the loop-bound rows appended to the shared
-	// structural prefix, and outKeys[d*len(distinct)+k] is the outcome-cache
+	// structural prefix, and outKeys[d*len(distinct)+k] is the outcome-store
 	// key of job (direction d, distinct set k).
 	keys    []string
 	loopKey string
-	outKeys []string
-	dirs    []direction
-	// warmEnv[d] is direction d's envelope read off its warm base (ok false
-	// when the direction has no ready warm base).
-	warmEnv []envelope
+	outKeys []prepcache.Key
+	// dirs holds the two directions; warmMu guards their warm fields,
+	// which are filled on first need (see readyDirs).
+	dirs   []direction
+	warmMu sync.Mutex
 	// bytes is the plan's accounted footprint (see planBytes); key is its
 	// annotation key once resident in a session's planCache.
 	bytes int64
@@ -106,63 +108,61 @@ type solverPlan struct {
 	solvedEnv []*envelope
 
 	// finMu guards finKeys, the memoised finishKey of each (direction,
-	// set) that has won an estimate; only winners need one.
+	// set) that has won an estimate (zero until then); only winners need
+	// one.
 	finMu   sync.Mutex
-	finKeys [][]string
+	finKeys [][]prepcache.Key
 }
 
-// finishKey returns the count-vector cache key of set si in direction di,
-// computing it on first use.
-func (p *solverPlan) finishKey(di, si int) string {
+// finishKey returns the count-vector key of set si in direction di on
+// session s, computing it on first use.
+func (p *solverPlan) finishKey(s *Session, di, si int) prepcache.Key {
 	p.finMu.Lock()
 	defer p.finMu.Unlock()
 	if p.finKeys == nil {
-		p.finKeys = make([][]string, len(p.dirs))
+		p.finKeys = make([][]prepcache.Key, len(p.dirs))
 	}
 	if p.finKeys[di] == nil {
-		p.finKeys[di] = make([]string, len(p.sets))
+		p.finKeys[di] = make([]prepcache.Key, len(p.sets))
 	}
-	if p.finKeys[di][si] == "" {
-		p.finKeys[di][si] = finishKey(di, p.loopKey, p.sets[si])
+	if p.finKeys[di][si] == (prepcache.Key{}) {
+		p.finKeys[di][si] = finishKey(s.lpDigest, di, s.Opts.Certify, p.loopKey, p.sets[si])
 	}
 	return p.finKeys[di][si]
 }
 
-// planUse is one analyzer's binding to a (possibly shared) plan: the plan,
-// the envelopes this analyzer's anytime settings make available, and the
-// setup work its first Estimate is charged.
+// planUse is one analyzer's binding to a (possibly shared) plan. setup is
+// the solver work this binding has spent readying the plan's directions;
+// every estimate of the binding starts its pivot budget from it.
 type planUse struct {
 	*solverPlan
-	env   []envelope
-	setup setupWork
+	setup atomic.Int64
 }
 
 // solverSetup returns the analyzer's solver plan, binding it on first use.
 // A prepared session first looks the annotation key up in its plan cache,
-// so a repeated annotation text skips set expansion, lowering, keying and
-// base-tableau lookup entirely. fresh reports whether this call bound the
-// plan (and so should count the setup work in its statistics).
-func (a *Analyzer) solverSetup() (use *planUse, fresh bool, err error) {
+// so a repeated annotation text skips set expansion, lowering and keying
+// entirely.
+func (a *Analyzer) solverSetup() (*planUse, error) {
 	a.planMu.Lock()
 	defer a.planMu.Unlock()
 	if a.plan != nil {
-		return a.plan, false, nil
+		return a.plan, nil
 	}
 	// A concrete solve has no value for parameter symbols; refuse with a
 	// typed, positioned error instead of silently treating "n1" as zero.
 	if err := checkNoSymbols(a.annots); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	use = &planUse{}
+	use := &planUse{}
 	if a.persist {
 		use.solverPlan = a.plans.get(a.planKey)
 	}
 	if use.solverPlan == nil {
-		plan, work, err := a.buildPlan()
+		plan, err := a.buildPlan()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		use.setup = work
 		if a.persist {
 			// A concurrent builder of the same key may have won; share its
 			// plan so outcome keys and warm bases stay one set.
@@ -170,20 +170,82 @@ func (a *Analyzer) solverSetup() (use *planUse, fresh bool, err error) {
 		}
 		use.solverPlan = plan
 	}
-	deadline, budget := a.effAnytime()
-	use.env = make([]envelope, len(use.dirs))
-	for di := range use.dirs {
-		if use.warmEnv[di].ok {
-			use.env[di] = use.warmEnv[di]
-		} else if deadline > 0 || budget > 0 {
+	a.plan = use
+	return use, nil
+}
+
+// readyDirs readies the directions of the plan that have jobs to solve
+// (need[d]) and returns the estimate's view of every direction with the
+// envelope each makes available. A needed direction gets its warm base
+// when the plan qualifies for one (built once per plan, and on prepared
+// sessions fetched from the session's base cache when another plan with
+// the same loop rows built it); a direction whose jobs the outcome store
+// answered entirely does no LP work. A budgeted run also needs the
+// envelope of a direction without a ready warm base, which costs a base LP
+// solve. Work done here is added to work.
+func (a *Analyzer) readyDirs(plan *solverPlan, need []bool, budgeted bool, work *setupWork) ([]direction, []envelope) {
+	plan.warmMu.Lock()
+	for di := range plan.dirs {
+		// A warm base amortises one base solve over sibling sets; a lone
+		// set has none, so it is solved once, cold, and that solve's values
+		// are the reported counts.
+		if need[di] && plan.dirs[di].warm == nil && a.Opts.WarmStart && len(plan.distinct) > 1 {
+			plan.dirs[di].warm = a.warmBase(plan, di, work)
+		}
+	}
+	dirs := slices.Clone(plan.dirs)
+	plan.warmMu.Unlock()
+	env := make([]envelope, len(dirs))
+	for di, d := range dirs {
+		switch {
+		case !need[di]:
+		case d.warm != nil && d.warm.Ready():
+			// The warm base already holds the relaxation envelope.
+			env[di].relax, env[di].ok = d.warm.BaseObjective()
+		case budgeted:
 			// A budgeted run may need the envelope for sets it abandons.
 			// Unbudgeted runs never ask, so their statistics stay identical
 			// to the exhaustive path.
-			use.env[di] = use.solvedEnvelope(di, &use.setup)
+			env[di] = plan.solvedEnvelope(di, work)
 		}
 	}
-	a.plan = use
-	return use, true, nil
+	return dirs, env
+}
+
+// warmBase builds direction di's warm base, or on a prepared session takes
+// it from the base cache, where warm bases persist across plans keyed by
+// the loop rows; only the call that builds one is charged.
+func (a *Analyzer) warmBase(plan *solverPlan, di int, work *setupWork) *ilp.WarmStart {
+	d := &plan.dirs[di]
+	newBase := func() *warmBaseEntry {
+		// Certify needs the un-presolved base: the exact checker re-derives
+		// the warm tableau layout from the problem, which presolve
+		// row-elimination would obscure. The base optimum (and so every
+		// bound) is identical either way.
+		w := ilp.NewWarmStartOpts(&ilp.Problem{
+			Sense:     d.sense,
+			NumVars:   d.obj.nVars,
+			Objective: d.obj.coeffs,
+			Prefix:    d.prefix,
+		}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
+		return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
+	}
+	var entry *warmBaseEntry
+	var hit bool
+	if a.persist {
+		entry, hit = a.baseCache.GetOrCompute(baseKey(di, plan.loopKey), newBase)
+	} else {
+		entry = newBase()
+	}
+	if !hit {
+		work.lp++
+		work.cold++
+		work.pivots += entry.pivots
+		if a.persist {
+			a.warmBytes.Add(entry.warm.RetainedBytes())
+		}
+	}
+	return entry.warm
 }
 
 // solvedEnvelope returns direction di's envelope for a plan without a
@@ -213,14 +275,14 @@ func (p *solverPlan) solvedEnvelope(di int, work *setupWork) envelope {
 	return *e
 }
 
-// buildPlan compiles the analyzer's annotations into a fresh plan; work is
-// the base solving it performed.
-func (a *Analyzer) buildPlan() (plan *solverPlan, work setupWork, err error) {
+// buildPlan compiles the analyzer's annotations into a fresh plan. It
+// does no LP work: warm bases and envelopes are readied on first need.
+func (a *Analyzer) buildPlan() (*solverPlan, error) {
 	sets, widened, total, pruned, err := a.buildSets(false)
 	if err != nil {
-		return nil, work, err
+		return nil, err
 	}
-	plan = &solverPlan{sets: sets, total: total, pruned: pruned, widened: widened}
+	plan := &solverPlan{sets: sets, total: total, pruned: pruned, widened: widened}
 	for _, w := range widened {
 		if w {
 			plan.nWidened++
@@ -268,69 +330,26 @@ func (a *Analyzer) buildPlan() (plan *solverPlan, work setupWork, err error) {
 		prefix = append(prefix, a.packedStructural...)
 		prefix = append(prefix, loops...)
 		prefix = append(prefix, db.packedExtra...)
-		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
-		// A warm base amortises one base solve over sibling sets; a lone set
-		// has none, so it is solved once, cold, and that solve's values are
-		// the reported counts.
-		if a.Opts.WarmStart && len(plan.distinct) > 1 {
-			newBase := func() *warmBaseEntry {
-				// Certify needs the un-presolved base: the exact checker
-				// re-derives the warm tableau layout from the problem, which
-				// presolve row-elimination would obscure. The base optimum
-				// (and so every bound) is identical either way.
-				w := ilp.NewWarmStartOpts(&ilp.Problem{
-					Sense:     db.sense,
-					NumVars:   db.obj.nVars,
-					Objective: db.obj.coeffs,
-					Prefix:    prefix,
-				}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
-				return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
-			}
-			var entry *warmBaseEntry
-			var hit bool
-			if a.persist {
-				// Warm bases persist across Estimate calls keyed by the
-				// loop rows; only the call that builds one is charged.
-				entry, hit = a.baseCache.GetOrCompute(baseKey(di, plan.loopKey), newBase)
-			} else {
-				entry = newBase()
-			}
-			d.warm = entry.warm
-			if !hit {
-				work.lp++
-				work.cold++
-				work.pivots += entry.pivots
-				if a.persist {
-					a.warmBytes.Add(entry.warm.RetainedBytes())
-				}
-			}
-		}
-		var env envelope
-		if d.warm != nil && d.warm.Ready() {
-			// The warm base already holds the relaxation envelope.
-			env.relax, env.ok = d.warm.BaseObjective()
-		}
-		plan.dirs = append(plan.dirs, d)
-		plan.warmEnv = append(plan.warmEnv, env)
+		plan.dirs = append(plan.dirs, direction{sense: db.sense, obj: db.obj, prefix: prefix})
 	}
 	plan.solvedEnv = make([]*envelope, len(plan.dirs))
 	if a.persist {
 		nd := len(plan.distinct)
-		plan.outKeys = make([]string, len(plan.dirs)*nd)
+		plan.outKeys = make([]prepcache.Key, len(plan.dirs)*nd)
 		for di := range plan.dirs {
 			for k, si := range plan.distinct {
-				plan.outKeys[di*nd+k] = solveKey(di, plan.loopKey, plan.keys[si])
+				plan.outKeys[di*nd+k] = solveKey(a.lpDigest, di, plan.loopKey, plan.keys[si])
 			}
 		}
 	}
 	plan.bytes = planBytes(plan, len(loops))
-	return plan, work, nil
+	return plan, nil
 }
 
 // planBytes estimates the resident bytes one plan pins beyond what the
 // session already holds: the lowered sets, the per-direction prefix row
 // headers (the structural rows themselves are shared), the packed loop
-// rows, and the key strings. Warm bases are accounted in the base cache.
+// rows, and the keys. Warm bases are accounted in the base cache.
 func planBytes(p *solverPlan, loopRows int) int64 {
 	const (
 		bytesPerPlan    = 512
@@ -356,11 +375,9 @@ func planBytes(p *solverPlan, loopRows int) int64 {
 	for _, k := range p.keys {
 		n += int64(len(k)) + bytesPerString
 	}
-	for _, k := range p.outKeys {
-		n += int64(len(k)) + bytesPerString
-	}
-	// A winner's memoised finish key: the loop rows plus a few set rows.
-	n += int64(len(p.dirs)) * (int64(len(p.loopKey)) + 2*bytesPerRowHdr)
+	n += int64(len(p.outKeys)) * int64(len(prepcache.Key{}))
+	// The memoised finish keys, one slot per (direction, set).
+	n += int64(len(p.dirs)*len(p.sets)) * int64(len(prepcache.Key{}))
 	return n + int64(len(p.loopKey))
 }
 

@@ -8,6 +8,7 @@ import (
 	"cinderella/internal/asm"
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
+	"cinderella/internal/prepcache"
 )
 
 // sessionAnalyzer applies annots (parsed under the given file name) to a
@@ -22,7 +23,7 @@ func sessionAnalyzer(t *testing.T, sess *Session, name, annots string) *Analyzer
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := an.solverSetup(); err != nil {
+	if _, err := an.solverSetup(); err != nil {
 		t.Fatal(err)
 	}
 	return an
@@ -266,6 +267,9 @@ func TestCachedDominationReuse(t *testing.T) {
 	prog := dominationProgram(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "main", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +307,9 @@ func TestCachedDominationWeakerIncumbent(t *testing.T) {
 	prog := dominationProgram(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "main", opts)
 	if err != nil {
 		t.Fatal(err)

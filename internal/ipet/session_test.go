@@ -9,6 +9,7 @@ import (
 	"cinderella/internal/asm"
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
+	"cinderella/internal/prepcache"
 )
 
 // sessionScenarios are annotation variants of the check_data program the
@@ -112,6 +113,9 @@ func TestSessionCacheReuse(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.IncumbentPrune = false // every distinct set solves to a cacheable outcome
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "check_data", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +224,9 @@ func TestSessionContextQualifiedCache(t *testing.T) {
 	scenB := "func main {\n    store.x1 @ f1 = 0\n    store.x1 @ f2 = 1\n}\n"
 	opts := DefaultOptions()
 	opts.Workers = 1
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "main", opts)
 	if err != nil {
 		t.Fatal(err)

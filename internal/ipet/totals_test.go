@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cinderella/internal/prepcache"
 )
 
 // TestSessionTotalsSnapshotDuringEstimates is the regression test for the
@@ -108,6 +110,9 @@ func TestSetAnytimeOverride(t *testing.T) {
 	prog := checkDataProgram(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
+	// Its own cache: the shared outcome store must not pre-answer the
+	// first estimate whose work this test counts.
+	opts.Artifacts = prepcache.New()
 	sess, err := Prepare(prog, "check_data", opts)
 	if err != nil {
 		t.Fatal(err)

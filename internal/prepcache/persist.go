@@ -252,7 +252,7 @@ func (c *Cache) diskStore() *diskStore {
 }
 
 // costDiskKey folds the march fingerprint into the body key, naming a
-// cost-table entry on disk the way costKey names it in memory.
+// cost-table entry on disk the way artKey names it in memory.
 func costDiskKey(body Key, marchFP string) Key {
 	h := sha256.New()
 	h.Write(body[:])

@@ -31,41 +31,65 @@ import (
 	"cinderella/internal/march"
 )
 
-// Key names one function body in normalized (position-independent) form.
+// Key is a SHA-256 content address: of one function body in normalized
+// (position-independent) form, of a program text, or of a solved LP
+// (OutcomeStore).
 type Key [sha256.Size]byte
 
-// costKey extends a body key with the cost-model fingerprint.
-type costKey struct {
-	body  Key
+// Artifact kinds of the in-memory tier; all five share one byte-capped
+// LRU.
+const (
+	artExe uint8 = iota
+	artProg
+	artCFG
+	artCost
+	artRows
+)
+
+// artKey names one in-memory artifact: its kind, its content key, and — for
+// cost tables only — the cost-model fingerprint.
+type artKey struct {
+	kind  uint8
+	key   Key
 	march string
 }
 
+// artifactCacheCap bounds the bytes of in-memory artifacts one Cache
+// keeps. Executables and whole-program CFGs are the bulk: tens of
+// kilobytes per program for the Table I sources, so the cap holds a few
+// hundred programs — every recent edit of an edit-and-resubmit loop plus
+// the bases it edits — while a stream of one-off edits can no longer grow
+// the heap without bound. Evicted artifacts are rebuilt (or restored from
+// the disk tier) on their next use. There is deliberately no option for it.
+const artifactCacheCap = 16 << 20
+
 // Stats is a point-in-time snapshot of cache effectiveness: artifact
-// lookups served (Hits) vs built and inserted (Misses), the approximate
-// resident bytes of the cached artifacts, the entry count across the
-// three artifact kinds, and the persistent tier's ledger when a disk
-// store is attached.
+// lookups served (Hits) vs built and inserted (Misses), the accounted
+// resident bytes of the in-memory artifacts, the entry count across the
+// five artifact kinds, the entries the byte cap evicted, and the
+// persistent tier's ledger when a disk store is attached.
 type Stats struct {
-	Hits    int64
-	Misses  int64
-	Bytes   int64
-	Entries int
-	Persist PersistStats
+	Hits      int64
+	Misses    int64
+	Bytes     int64
+	Entries   int
+	Evictions int64
+	Persist   PersistStats
 }
 
-// Cache holds immutable per-function prepare artifacts. The zero value is
-// not usable; use New. All methods are safe for concurrent use.
+// Cache holds immutable prepare artifacts, bounded by artifactCacheCap,
+// plus the outcome store of the sessions prepared against it. The zero
+// value is not usable; use New. All methods are safe for concurrent use.
 type Cache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
-	bytes  atomic.Int64
 
-	mu    sync.Mutex
-	progs map[Key]*progProto
-	cfgs  map[Key]*funcProto
-	costs map[costKey][]march.BlockCost
-	rows  map[Key]*RowTemplate
-	exes  map[Key]*asm.Executable
+	// mu guards arts, the in-memory tier: every artifact kind in one
+	// byte-accounted LRU.
+	mu   sync.Mutex
+	arts *lru[artKey, any]
+
+	outcomes *OutcomeStore
 
 	// pmu guards disk, the optional persistent tier (persist.go). Memory
 	// hits never touch it; misses consult it before rebuilding.
@@ -75,17 +99,7 @@ type Cache struct {
 
 // New returns an empty cache.
 func New() *Cache {
-	c := &Cache{}
-	c.init()
-	return c
-}
-
-func (c *Cache) init() {
-	c.progs = map[Key]*progProto{}
-	c.cfgs = map[Key]*funcProto{}
-	c.costs = map[costKey][]march.BlockCost{}
-	c.rows = map[Key]*RowTemplate{}
-	c.exes = map[Key]*asm.Executable{}
+	return &Cache{arts: newLRU[artKey, any](artifactCacheCap), outcomes: newOutcomeStore()}
 }
 
 var defaultCache = New()
@@ -93,31 +107,59 @@ var defaultCache = New()
 // Default returns the process-wide cache shared by every Prepare.
 func Default() *Cache { return defaultCache }
 
-// Reset drops every in-memory artifact and zeroes the memory counters.
-// Benchmarks use it to measure a true cold path. An attached persistence
-// directory (SetPersistDir) survives — resetting a persistent cache is
-// exactly a process restart from the disk store's point of view.
+// Outcomes returns the solved-LP outcome store every session prepared
+// against this cache shares.
+func (c *Cache) Outcomes() *OutcomeStore { return c.outcomes }
+
+// Reset drops every in-memory artifact and solved outcome and zeroes the
+// memory counters. Benchmarks use it to measure a true cold path. An
+// attached persistence directory (SetPersistDir) survives — resetting a
+// persistent cache is exactly a process restart from the disk store's
+// point of view.
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.init()
+	c.arts = newLRU[artKey, any](artifactCacheCap)
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
-	c.bytes.Store(0)
+	c.outcomes.Reset()
 }
 
 // Snapshot returns the current counters.
 func (c *Cache) Snapshot() Stats {
 	c.mu.Lock()
-	n := len(c.progs) + len(c.cfgs) + len(c.costs) + len(c.rows) + len(c.exes)
+	n, bytes, ev := len(c.arts.m), c.arts.bytes, c.arts.evictions
 	c.mu.Unlock()
 	return Stats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Bytes:   c.bytes.Load(),
-		Entries: n,
-		Persist: c.PersistStats(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Bytes:     bytes,
+		Entries:   n,
+		Evictions: ev,
+		Persist:   c.PersistStats(),
 	}
+}
+
+// lookup returns the resident artifact under k, marking it most recently
+// used.
+func lookup[V any](c *Cache, k artKey) (V, bool) {
+	c.mu.Lock()
+	v, ok := c.arts.get(k)
+	c.mu.Unlock()
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return v.(V), true
+}
+
+// insert publishes an artifact charged n bytes, keeping the incumbent if a
+// concurrent insert won the race; the returned value is the resident one.
+func insert[V any](c *Cache, k artKey, v V, n int64) V {
+	c.mu.Lock()
+	got, _ := c.arts.add(k, v, n)
+	c.mu.Unlock()
+	return got.(V)
 }
 
 // decodeBody decodes every instruction word of f in one pass. ok is false
@@ -280,16 +322,71 @@ func (p *funcProto) instantiate(exe *asm.Executable, f asm.Symbol, body []isa.In
 	return out
 }
 
-// protoBytes approximates the resident footprint of one CFG prototype.
-func protoBytes(fc *cfg.FuncCFG) int64 {
-	n := int64(len(fc.Blocks))*96 + int64(len(fc.Edges))*56 + int64(len(fc.IDom))*8
+// Heap sizes the footprint estimates below charge, in bytes: a map entry
+// (slot plus load-factor slack), a string or slice header, a decoded
+// isa.Instruction, a cfg.Block, a cfg.Edge and a cfg.FuncCFG with its
+// pointer, and one packed row header.
+const (
+	mapEntryBytes = 48
+	instrBytes    = 8
+	headerBytes   = 16
+	blockBytes    = 120
+	edgeBytes     = 72
+	funcCFGBytes  = 176
+	rowHdrBytes   = 56
+)
+
+// blocksBytes is what a FuncCFG's own blocks pin: the block structs, their
+// decoded instructions, and their edge lists.
+func blocksBytes(fc *cfg.FuncCFG) int64 {
+	n := int64(len(fc.Blocks)) * blockBytes
 	for _, b := range fc.Blocks {
-		n += int64(len(b.Instrs))*8 + int64(len(b.In)+len(b.Out))*8
-	}
-	for i := range fc.Loops {
-		n += int64(len(fc.Loops[i].Blocks)+len(fc.Loops[i].EntryEdges)+len(fc.Loops[i].BackEdges)) * 8
+		n += int64(len(b.Instrs))*instrBytes + int64(len(b.In)+len(b.Out))*8
 	}
 	return n
+}
+
+// protoBytes approximates the resident footprint of one CFG prototype.
+func protoBytes(fc *cfg.FuncCFG) int64 {
+	n := funcCFGBytes + blocksBytes(fc) + int64(len(fc.Edges))*edgeBytes + int64(len(fc.IDom)+len(fc.Calls))*8
+	for i := range fc.Loops {
+		n += 80 + int64(len(fc.Loops[i].Blocks)+len(fc.Loops[i].EntryEdges)+len(fc.Loops[i].BackEdges))*8
+	}
+	return n
+}
+
+// progBytes approximates what a whole-program entry pins beyond the CFG
+// prototypes it shares: its maps and name list, and each function's own
+// blocks (an instantiated FuncCFG shares edges, loops and dominators with
+// its prototype but copies the blocks and their instructions).
+func progBytes(pp *progProto) int64 {
+	n := int64(len(pp.order)) * (2*mapEntryBytes + headerBytes + 32)
+	for name, fc := range pp.funcs {
+		n += int64(len(name)) + funcCFGBytes + blocksBytes(fc)
+	}
+	return n
+}
+
+// exeBytes approximates the resident footprint of a built executable: the
+// memory image, the symbol table, the function list and the line map.
+func exeBytes(exe *asm.Executable) int64 {
+	n := int64(len(exe.Mem)) + int64(len(exe.Functions))*(headerBytes+16) + int64(len(exe.Lines))*mapEntryBytes
+	for name := range exe.Symbols {
+		n += mapEntryBytes + int64(len(name))
+	}
+	return n
+}
+
+// costsBytes is a cost table's footprint: three int64 per block plus the
+// fingerprint string of its key.
+func costsBytes(costs []march.BlockCost, marchFP string) int64 {
+	return int64(len(costs))*24 + int64(len(marchFP)) + headerBytes
+}
+
+// rowsBytes is a row template's footprint: one int32 column and one
+// float64 value per nonzero plus a header per row.
+func rowsBytes(t *RowTemplate) int64 {
+	return int64(t.NNZ)*12 + int64(len(t.Rows))*rowHdrBytes
 }
 
 // BuildFunc returns the program-specific CFG of f, serving the structure
@@ -312,10 +409,7 @@ func (c *Cache) buildFunc(exe *asm.Executable, f asm.Symbol) (fc *cfg.FuncCFG, k
 		fc, err = cfg.BuildFunc(exe, f)
 		return fc, Key{}, false, false, err
 	}
-	c.mu.Lock()
-	proto := c.cfgs[key]
-	c.mu.Unlock()
-	if proto != nil {
+	if proto, ok := lookup[*funcProto](c, artKey{kind: artCFG, key: key}); ok {
 		c.hits.Add(1)
 		return proto.instantiate(exe, f, body), key, true, true, nil
 	}
@@ -349,14 +443,7 @@ func (c *Cache) buildFunc(exe *asm.Executable, f asm.Symbol) (fc *cfg.FuncCFG, k
 // insertCFG publishes a CFG prototype, keeping the incumbent if a
 // concurrent insert won the race; the returned proto is the resident one.
 func (c *Cache) insertCFG(key Key, p *funcProto) *funcProto {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, raced := c.cfgs[key]; raced {
-		return exist
-	}
-	c.cfgs[key] = p
-	c.bytes.Add(p.bytes)
-	return p
+	return insert(c, artKey{kind: artCFG, key: key}, p, p.bytes)
 }
 
 // progProto is one fully-built program keyed by its text image. Every field
@@ -404,10 +491,7 @@ func imageKey(exe *asm.Executable) (Key, bool) {
 func (c *Cache) BuildProgram(exe *asm.Executable) (*cfg.Program, error) {
 	ik, imageOK := imageKey(exe)
 	if imageOK {
-		c.mu.Lock()
-		pp := c.progs[ik]
-		c.mu.Unlock()
-		if pp != nil {
+		if pp, ok := lookup[*progProto](c, artKey{kind: artProg, key: ik}); ok {
 			c.hits.Add(1)
 			funcs := make(map[string]*cfg.FuncCFG, len(pp.funcs))
 			for name, fc := range pp.funcs {
@@ -447,12 +531,7 @@ func (c *Cache) BuildProgram(exe *asm.Executable) (*cfg.Program, error) {
 	}
 	if imageOK {
 		pp := &progProto{funcs: p.Funcs, order: p.Order, keys: p.BodyKeys}
-		c.mu.Lock()
-		if _, raced := c.progs[ik]; !raced {
-			c.progs[ik] = pp
-			c.bytes.Add(int64(len(pp.order)) * 64)
-		}
-		c.mu.Unlock()
+		insert(c, artKey{kind: artProg, key: ik}, pp, progBytes(pp))
 		// The cached prototype shares the maps just handed to the caller;
 		// hand the caller its own copy of the one it could plausibly mutate.
 		funcs := make(map[string]*cfg.FuncCFG, len(p.Funcs))
@@ -474,11 +553,8 @@ func (e *unknownCalleeError) Error() string {
 // cost model, computing and inserting it on first sight. The returned slice
 // is shared and must not be mutated.
 func (c *Cache) Costs(key Key, marchFP string, fc *cfg.FuncCFG, opts march.Options) (costs []march.BlockCost, hit bool) {
-	ck := costKey{body: key, march: marchFP}
-	c.mu.Lock()
-	costs = c.costs[ck]
-	c.mu.Unlock()
-	if costs != nil {
+	ck := artKey{kind: artCost, key: key, march: marchFP}
+	if costs, ok := lookup[[]march.BlockCost](c, ck); ok {
 		c.hits.Add(1)
 		return costs, true
 	}
@@ -502,15 +578,8 @@ func (c *Cache) Costs(key Key, marchFP string, fc *cfg.FuncCFG, opts march.Optio
 	return costs, false
 }
 
-func (c *Cache) insertCosts(ck costKey, costs []march.BlockCost) []march.BlockCost {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, raced := c.costs[ck]; raced {
-		return exist
-	}
-	c.costs[ck] = costs
-	c.bytes.Add(int64(len(costs))*24 + int64(len(ck.march)))
-	return costs
+func (c *Cache) insertCosts(ck artKey, costs []march.BlockCost) []march.BlockCost {
+	return insert(c, ck, costs, costsBytes(costs, ck.march))
 }
 
 // RowTemplate is one function's structural flow rows — per block, the
@@ -559,10 +628,7 @@ func BuildRowTemplate(fc *cfg.FuncCFG) *RowTemplate {
 // Rows returns the structural row template for a function body, building
 // and inserting it on first sight.
 func (c *Cache) Rows(key Key, fc *cfg.FuncCFG) (t *RowTemplate, hit bool) {
-	c.mu.Lock()
-	t = c.rows[key]
-	c.mu.Unlock()
-	if t != nil {
+	if t, ok := lookup[*RowTemplate](c, artKey{kind: artRows, key: key}); ok {
 		c.hits.Add(1)
 		return t, true
 	}
@@ -586,14 +652,7 @@ func (c *Cache) Rows(key Key, fc *cfg.FuncCFG) (t *RowTemplate, hit bool) {
 }
 
 func (c *Cache) insertRows(key Key, t *RowTemplate) *RowTemplate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, raced := c.rows[key]; raced {
-		return exist
-	}
-	c.rows[key] = t
-	c.bytes.Add(int64(t.NNZ)*12 + int64(len(t.Rows))*56)
-	return t
+	return insert(c, artKey{kind: artRows, key: key}, t, rowsBytes(t))
 }
 
 // ExeKey hashes a program text plus the frontend mode ("asm", "cc",
@@ -616,10 +675,7 @@ func ExeKey(mode, text string) Key {
 // must be treated as immutable.
 func (c *Cache) Executable(mode, text string, build func() (*asm.Executable, error)) (exe *asm.Executable, hit bool, err error) {
 	key := ExeKey(mode, text)
-	c.mu.Lock()
-	exe = c.exes[key]
-	c.mu.Unlock()
-	if exe != nil {
+	if exe, ok := lookup[*asm.Executable](c, artKey{kind: artExe, key: key}); ok {
 		c.hits.Add(1)
 		return exe, true, nil
 	}
@@ -646,14 +702,7 @@ func (c *Cache) Executable(mode, text string, build func() (*asm.Executable, err
 }
 
 func (c *Cache) insertExe(key Key, exe *asm.Executable) *asm.Executable {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, raced := c.exes[key]; raced {
-		return exist
-	}
-	c.exes[key] = exe
-	c.bytes.Add(int64(len(exe.Mem)) + int64(len(exe.Symbols))*48 + int64(len(exe.Functions))*40 + int64(len(exe.Lines))*16)
-	return exe
+	return insert(c, artKey{kind: artExe, key: key}, exe, exeBytes(exe))
 }
 
 // AppendRelocated writes the template's rows into dst[at:] with every

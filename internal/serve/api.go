@@ -187,19 +187,38 @@ type StatsResponse struct {
 
 	Store StoreStatsJSON `json:"store"`
 	// Artifacts describes the process-wide content-addressed prepare
-	// artifact cache (internal/prepcache) shared by every session build.
+	// artifact cache (internal/prepcache) shared by every session build;
+	// Outcomes describes its store of solved LP outcomes, which every
+	// session shares and which survives session eviction.
 	Artifacts ArtifactStatsJSON  `json:"artifacts"`
+	Outcomes  OutcomeStatsJSON   `json:"outcomes"`
 	Sessions  []SessionStatsJSON `json:"sessions"`
+}
+
+// OutcomeStatsJSON describes the shared outcome store: resident entries
+// (per-set outcomes, Dominated of them domination bounds, plus the
+// winners' count vectors), their accounted bytes, lookups that found an
+// entry or did not, and entries its byte cap evicted.
+type OutcomeStatsJSON struct {
+	Entries      int   `json:"entries"`
+	SetOutcomes  int   `json:"set_outcomes"`
+	Dominated    int   `json:"dominated"`
+	CountVectors int   `json:"count_vectors"`
+	Bytes        int64 `json:"bytes"`
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Evictions    int64 `json:"evictions"`
 }
 
 // ArtifactStatsJSON describes the process-wide prepare-artifact cache:
 // per-function CFG skeletons, block-cost tables, and packed structural row
 // templates keyed by content hash of the function body.
 type ArtifactStatsJSON struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Bytes   int64 `json:"bytes"`
-	Entries int   `json:"entries"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Bytes     int64 `json:"bytes"`
+	Entries   int   `json:"entries"`
+	Evictions int64 `json:"evictions"`
 	// Persist is the disk tier's ledger when a persistence directory is
 	// attached (all zero otherwise).
 	Persist PersistStatsJSON `json:"persist"`
@@ -241,14 +260,11 @@ type SessionStatsJSON struct {
 	Pivots       int    `json:"pivots"`
 	CacheHits    int    `json:"cache_hits"`
 	WarmBases    int    `json:"warm_bases"`
-	SetOutcomes  int    `json:"set_outcomes"`
-	CountVectors int    `json:"count_vectors"`
 	// Plans counts the compiled solver plans resident in the session's
-	// plan cache (at most 16 annotation texts); DominatedOutcomes is the
-	// share of SetOutcomes that are cached domination bounds. Both count
-	// toward MemoryBytes.
-	Plans             int `json:"plans"`
-	DominatedOutcomes int `json:"dominated_outcomes"`
+	// plan cache (at most 16 annotation texts); they count toward
+	// MemoryBytes. Solved outcomes are not the session's: see
+	// StatsResponse.Outcomes.
+	Plans int `json:"plans"`
 	// ArtifactHits/ArtifactMisses are the prepare artifacts this session's
 	// build served from (vs inserted into) the process-wide cache — a
 	// re-prepared (evicted and resubmitted) session should be all hits.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cinderella/internal/bench"
+	"cinderella/internal/prepcache"
 	"cinderella/internal/serve/chaos"
 )
 
@@ -196,8 +197,10 @@ func TestWatchdogWedgedSolve(t *testing.T) {
 	ref := oneShotEstimate(t, ProgramSpec{Asm: asmText, Root: "main"}, 1, annots)
 
 	inj := chaos.New(chaos.Config{Seed: 3, SolveSlowEvery: 1, SlowSolve: 2 * time.Second})
+	// Its own cache: the envelope answer degrades only when the shared
+	// outcome store of an earlier test cannot answer the request.
 	srv := New(Config{
-		Shards: 1, Workers: 1,
+		Shards: 1, Workers: 1, Artifacts: prepcache.New(),
 		WatchdogCeiling:   50 * time.Millisecond,
 		DegradedThreshold: 2,
 		Chaos:             inj,

@@ -14,6 +14,7 @@ import (
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ipet"
+	"cinderella/internal/prepcache"
 	"cinderella/internal/serve"
 )
 
@@ -64,6 +65,12 @@ func explosionWorkload(t *testing.T, n int, slo float64) Workload {
 // the universal gates: no transport errors, no non-sound response, ever.
 func runScenario(t *testing.T, name string, sc serve.Config, lc Config) Result {
 	t.Helper()
+	// Each scenario's server starts with empty caches, like a fresh
+	// process: the outcome store an earlier scenario filled would answer
+	// the overload burst without solving.
+	if sc.Artifacts == nil {
+		sc.Artifacts = prepcache.New()
+	}
 	srv := serve.New(sc)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

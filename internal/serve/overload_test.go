@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cinderella/internal/bench"
+	"cinderella/internal/prepcache"
 )
 
 // TestServerOverloadSoundness drives the server far past its admission
@@ -24,7 +25,9 @@ func TestServerOverloadSoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload test")
 	}
-	srv := New(Config{Shards: 1, Workers: 1, MaxConcurrent: 1, MaxQueue: 1})
+	// Its own cache: degradation needs cold caches, and the shared outcome
+	// store of an earlier test could answer the burst without solving.
+	srv := New(Config{Shards: 1, Workers: 1, MaxConcurrent: 1, MaxQueue: 1, Artifacts: prepcache.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

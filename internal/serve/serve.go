@@ -789,10 +789,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	art := s.artifacts.Snapshot()
 	resp.Artifacts = ArtifactStatsJSON{
-		Hits:    art.Hits,
-		Misses:  art.Misses,
-		Bytes:   art.Bytes,
-		Entries: art.Entries,
+		Hits:      art.Hits,
+		Misses:    art.Misses,
+		Bytes:     art.Bytes,
+		Entries:   art.Entries,
+		Evictions: art.Evictions,
 		Persist: PersistStatsJSON{
 			Restored:    art.Persist.Restored,
 			Spilled:     art.Persist.Spilled,
@@ -801,27 +802,35 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Misses:      art.Persist.Misses,
 		},
 	}
+	out := s.artifacts.Outcomes().Stats()
+	resp.Outcomes = OutcomeStatsJSON{
+		Entries:      out.Outcomes + out.CountVectors,
+		SetOutcomes:  out.Outcomes,
+		Dominated:    out.Dominated,
+		CountVectors: out.CountVectors,
+		Bytes:        out.Bytes,
+		Hits:         out.Hits,
+		Misses:       out.Misses,
+		Evictions:    out.Evictions,
+	}
 	for _, ent := range ents {
 		tot := ent.sess.Totals()
 		cs := ent.sess.CacheStats()
 		ahits, amisses := ent.sess.ArtifactStats()
 		resp.Sessions = append(resp.Sessions, SessionStatsJSON{
-			Program:           ent.hash,
-			Root:              ent.root,
-			MemoryBytes:       ent.sess.MemoryFootprint(),
-			Estimates:         tot.Estimates,
-			Formula:           tot.FormulaAnswers,
-			Degraded:          tot.Degraded,
-			DeadlineHits:      tot.DeadlineHits,
-			Pivots:            tot.Stats.Pivots,
-			CacheHits:         tot.Stats.CacheHits,
-			WarmBases:         cs.WarmBases,
-			SetOutcomes:       cs.SetOutcomes,
-			CountVectors:      cs.CountVectors,
-			Plans:             cs.Plans,
-			DominatedOutcomes: cs.Dominated,
-			ArtifactHits:      ahits,
-			ArtifactMisses:    amisses,
+			Program:        ent.hash,
+			Root:           ent.root,
+			MemoryBytes:    ent.sess.MemoryFootprint(),
+			Estimates:      tot.Estimates,
+			Formula:        tot.FormulaAnswers,
+			Degraded:       tot.Degraded,
+			DeadlineHits:   tot.DeadlineHits,
+			Pivots:         tot.Stats.Pivots,
+			CacheHits:      tot.Stats.CacheHits,
+			WarmBases:      cs.WarmBases,
+			Plans:          cs.Plans,
+			ArtifactHits:   ahits,
+			ArtifactMisses: amisses,
 		})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
