@@ -198,7 +198,7 @@ func (pb *ParamBound) paramsMap(params []int64) map[string]int64 {
 // without any simplex work (Stats.FormulaEvals = 1; Counts are nil — the
 // formula stores values, not vertices); otherwise the annotations are bound
 // concretely and solved through the session (Stats.ParamFallbacks = 1),
-// which reuses the session's warm bases and outcome caches. Either way the
+// which reuses the session's warm bases and outcome store. Either way the
 // cycle bounds are exactly those of a concrete Estimate at the point.
 func (pb *ParamBound) EstimateAt(params []int64) (*Estimate, error) {
 	return pb.EstimateAtContext(context.Background(), params)
